@@ -328,6 +328,8 @@ def single_edge_response(field: WeightField, v: Sequence[int], e: int,
     ys = np.asarray(y_grid, dtype=float)
     if ys.ndim != 1 or ys.size < 2 or np.any(np.diff(ys) <= 0):
         raise ValueError("y_grid must be strictly increasing")
+    if not np.all(np.isfinite(ys)):
+        raise ValueError("y_grid must be finite")
     if ys[0] != 0.0:
         raise ValueError("y_grid must start at 0")
     if not (0 <= e < grid.edge_count):

@@ -4,45 +4,41 @@ phi is continuous and nondecreasing on [0, 1] with phi(0) = 0 and phi(1) = 1,
 and behaves like -1/log(u) near 0; it multiplies each squared gradient norm
 in the modified variance bound, which is where the logarithmic gain over the
 plain Poincare bound comes from.
+
+With a = -2 log u, substituting s = 1 + t gives the closed form
+
+    phi(u) = 2 * [e^a E_2(a) - u^2 e^(2a) E_2(2a) / 2],
+
+where E_n is the exponential integral (Abramowitz & Stegun ch. 5).  Its
+derivative follows the same way from t/(1+t)^2 = 1/(1+t) - 1/(1+t)^2, with
+E_1 in place of E_2.
 """
 
 from __future__ import annotations
 
 import math
 
-QUAD_TOL = 1e-10
+from scipy.special import expn
+
+# e^x overflows just above x = 709; from here on e^x E_n(x) comes from its
+# asymptotic series, whose twelfth term is below 1e-24 of the sum.
+_SERIES_FROM = 700.0
+_SERIES_TERMS = 12
 
 
-def _adaptive_simpson(f, a: float, b: float, fa: float, fm: float, fb: float,
-                      whole: float, tol: float, depth: int) -> float:
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
-        return left + right + (left + right - whole) / 15.0
-    return (_adaptive_simpson(f, a, m, fa, flm, fm, left, tol / 2.0, depth - 1) +
-            _adaptive_simpson(f, m, b, fm, frm, fb, right, tol / 2.0, depth - 1))
-
-
-def _integrate(f, a: float, b: float, tol: float) -> float:
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, depth=60)
+def _scaled_expn(n: int, x: float) -> float:
+    """e^x E_n(x) for x >= 0."""
+    if x < _SERIES_FROM:
+        return math.exp(x) * float(expn(n, x))
+    term = total = 1.0
+    for k in range(1, _SERIES_TERMS):
+        term *= -(n + k - 1) / x
+        total += term
+    return total / x
 
 
 def phi(u: float) -> float:
-    """Evaluate phi on [0, 1] by adaptive Simpson to absolute tolerance 1e-10.
-
-    The integrand is evaluated as exp(2 t log u) / (1+t)^2 so that tiny u
-    cannot underflow inside a pow; below 1e-300 the -1/log(u) asymptote is
-    returned directly (absolute error there is < 1e-6 of the value).
-    """
+    """Evaluate phi on [0, 1] from the closed form in E_2."""
     u = float(u)
     if math.isnan(u) or u < 0.0 or u > 1.0:
         raise ValueError("u must lie in [0, 1]")
@@ -50,14 +46,22 @@ def phi(u: float) -> float:
         return 0.0
     if u == 1.0:
         return 1.0
-    log_u = math.log(u)
-    if u < 1e-300:
-        return -1.0 / log_u
+    a = -2.0 * math.log(u)
+    return 2.0 * _scaled_expn(2, a) - u * u * _scaled_expn(2, 2.0 * a)
 
-    def integrand(t: float) -> float:
-        return math.exp(2.0 * t * log_u) / ((1.0 + t) * (1.0 + t))
 
-    return 2.0 * _integrate(integrand, 0.0, 1.0, QUAD_TOL)
+def phi_derivative(u: float) -> float:
+    """phi'(u) = (4/u) int_0^1 t u^(2t) / (1+t)^2 dt on (0, 1]; phi'(1) = 4 log 2 - 2.
+
+    It grows without bound as u -> 0, so 0 is outside the domain.
+    """
+    u = float(u)
+    if not (0.0 < u <= 1.0):
+        raise ValueError("u must lie in (0, 1]")
+    if u == 1.0:
+        return 4.0 * math.log(2.0) - 2.0
+    a = -2.0 * math.log(u)
+    return (4.0 * (_scaled_expn(1, a) - u * u * _scaled_expn(1, 2.0 * a)) - 2.0 * phi(u)) / u
 
 
 def phi_asymptotic(u: float) -> float:

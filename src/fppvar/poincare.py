@@ -16,6 +16,12 @@ variables through the quantile coupling.
 Every check returns an :class:`InequalityReport` whose margin is the audit
 trail: the inequalities are theorems, so a margin below -tolerance signals an
 implementation bug, never new mathematics.
+
+Quadrature reports evaluate f and its partials on the cube x tensor
+Gauss-Hermite grid; Monte Carlo reports evaluate them at sampled points and
+share one builder, whose 3-sigma tolerance combines the standard error of the
+sample variance with delta-method errors of the phi-weighted terms.  phi and
+its derivative come from their closed forms in :mod:`fppvar.phi`.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import numpy as np
 from . import gaussian
 from .edge_distributions import EdgeDistribution, psi as _psi, sample as _dist_sample
 from .gaussian import QuadratureRule
-from .phi import phi
+from .phi import phi, phi_derivative
 
 MIN_MC_SAMPLES = 1000
 MAX_QUAD_CONT = 6
@@ -86,11 +92,34 @@ def _cube(n_bits: int) -> np.ndarray:
     return ((ids[:, None] >> np.arange(n_bits)) & 1).astype(float)
 
 
-def _tensor_grid(rule: QuadratureRule, n: int) -> tuple[np.ndarray, np.ndarray]:
-    grids = np.meshgrid(*([rule.nodes] * n), indexing="ij")
+def _quad_points(tf: TestFunction, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cube x tensor-grid points and the grid weights.
+
+    x (cube vertices, 1, bits) and y (1, grid nodes, coordinates) broadcast
+    to one value per (vertex, node); the quadrature mean of such an array A
+    is mean(A @ weights), uniform over the cube.
+    """
+    grids = np.meshgrid(*([rule.nodes] * tf.n_cont), indexing="ij")
     nodes = np.stack([g.ravel() for g in grids], axis=-1)
-    weights = reduce(np.multiply.outer, [rule.weights] * n).ravel()
-    return nodes, weights
+    weights = reduce(np.multiply.outer, [rule.weights] * tf.n_cont).ravel()
+    return _cube(tf.n_bits)[:, None, :], nodes[None, :, :], weights
+
+
+def _values(fn: Callable, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """fn at the points (x, y), broadcast to one value per point."""
+    shape = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
+    return np.broadcast_to(np.asarray(fn(x, y), dtype=float), shape)
+
+
+def _discrete_gradients(tf: TestFunction, x: np.ndarray, y: np.ndarray,
+                        vals: np.ndarray) -> np.ndarray:
+    """((f(x) - f(x with bit q flipped)) / 2)^2 at every point, one row per bit q."""
+    out = np.empty((tf.n_bits,) + vals.shape)
+    for q in range(tf.n_bits):
+        flipped = x.copy()
+        flipped[..., q] = 1.0 - flipped[..., q]
+        out[q] = (0.5 * (vals - _values(tf.fn, flipped, y))) ** 2
+    return out
 
 
 def _term_from_norms(index: int, l1: float, l2sq: float,
@@ -104,12 +133,6 @@ def _term_from_norms(index: int, l1: float, l2sq: float,
                           phi_of_ratio=ph, contribution=prefactor * l2sq * ph)
 
 
-def _phi_slope(r: float, h: float = 1e-6) -> float:
-    lo = max(r - h, 0.0)
-    hi = min(r + h, 1.0)
-    return (phi(hi) - phi(lo)) / (hi - lo)
-
-
 def discrete_gradient_norm(tf: TestFunction, q: int,
                            rule: Optional[QuadratureRule] = None) -> float:
     """Squared L2 norm of the discrete gradient in bit q.
@@ -119,43 +142,28 @@ def discrete_gradient_norm(tf: TestFunction, q: int,
     """
     if not (0 <= q < tf.n_bits):
         raise ValueError("bit index out of range")
-    rule = rule or gaussian.hermite_rule()
-    cube = _cube(tf.n_bits)
-    nodes, weights = _tensor_grid(rule, tf.n_cont)
-    vals = np.asarray(tf.fn(cube[:, None, :], nodes[None, :, :]), dtype=float)
-    vals = np.broadcast_to(vals, (cube.shape[0], nodes.shape[0]))
-    perm = np.arange(cube.shape[0]) ^ (1 << q)
-    grad = 0.5 * (vals - vals[perm])
-    return float(np.mean((grad ** 2) @ weights))
+    x, y, weights = _quad_points(tf, rule or gaussian.hermite_rule())
+    grads = _discrete_gradients(tf, x, y, _values(tf.fn, x, y))
+    return float(np.mean(grads[q] @ weights))
 
 
 def _quad_report(tf: TestFunction, rule: QuadratureRule) -> InequalityReport:
     if tf.n_cont > MAX_QUAD_CONT:
         raise ValueError(f"tensor quadrature supports n_cont <= {MAX_QUAD_CONT}")
-    cube = _cube(tf.n_bits)
-    nodes, weights = _tensor_grid(rule, tf.n_cont)
-    k = cube.shape[0]
+    x, y, weights = _quad_points(tf, rule)
 
-    vals = np.asarray(tf.fn(cube[:, None, :], nodes[None, :, :]), dtype=float)
-    vals = np.broadcast_to(vals, (k, nodes.shape[0]))
-    col = vals @ weights
-    mean = float(np.mean(col))
-    second = float(np.mean((vals ** 2) @ weights))
-    lhs = second - mean * mean
+    def mean(a: np.ndarray) -> float:
+        return float(np.mean(a @ weights))
 
-    discrete = 0.0
-    for q in range(tf.n_bits):
-        perm = np.arange(k) ^ (1 << q)
-        grad = 0.5 * (vals - vals[perm])
-        discrete += float(np.mean((grad ** 2) @ weights))
+    vals = _values(tf.fn, x, y)
+    first = mean(vals)
+    lhs = mean(vals ** 2) - first * first
+    discrete = sum((mean(g) for g in _discrete_gradients(tf, x, y, vals)), 0.0)
 
     terms = []
     for i, dfun in enumerate(tf.partials):
-        dvals = np.asarray(dfun(cube[:, None, :], nodes[None, :, :]), dtype=float)
-        dvals = np.broadcast_to(dvals, (k, nodes.shape[0]))
-        l1 = float(np.mean(np.abs(dvals) @ weights))
-        l2sq = float(np.mean((dvals ** 2) @ weights))
-        terms.append(_term_from_norms(i, l1, l2sq))
+        dvals = _values(dfun, x, y)
+        terms.append(_term_from_norms(i, mean(np.abs(dvals)), mean(dvals ** 2)))
 
     rhs = discrete + sum(t.contribution for t in terms)
     margin = rhs - lhs
@@ -168,12 +176,18 @@ def _quad_report(tf: TestFunction, rule: QuadratureRule) -> InequalityReport:
 
 
 def _variance_and_se(vals: np.ndarray) -> tuple[float, float]:
+    """Sample variance s^2 and its standard error.
+
+    Var(s^2) = mu4/n - sigma^4 (n-3) / (n(n-1)), with the plug-in central
+    moments m2 and m4 (divided by n) for mu4 and sigma^2.  The first term
+    alone is 0 for a symmetric two-point law, whose s^2 still varies.
+    """
     n = vals.size
-    var = float(np.var(vals, ddof=1))
     centered = vals - vals.mean()
+    m2 = float(np.mean(centered ** 2))
     m4 = float(np.mean(centered ** 4))
-    se = math.sqrt(max(m4 - var * var, 0.0) / n)
-    return var, se
+    se = math.sqrt(max(m4 / n - m2 * m2 * (n - 3) / (n * (n - 1)), 0.0))
+    return float(np.var(vals, ddof=1)), se
 
 
 def _term_se(dvals: np.ndarray, term: ContinuousTerm, ratio_scale: float,
@@ -182,48 +196,33 @@ def _term_se(dvals: np.ndarray, term: ContinuousTerm, ratio_scale: float,
     if term.l2sq <= 0.0:
         return 0.0
     n = dvals.size
-    absd = np.abs(dvals)
-    sq = dvals ** 2
-    cov = np.cov(np.stack([absd, sq])) / n
+    cov = np.cov(np.stack([np.abs(dvals), dvals ** 2])) / n
     r = term.ratio
-    slope = _phi_slope(r)
-    l2 = math.sqrt(term.l2sq)
-    d_da = ratio_scale * l2 * slope if r < 1.0 else 0.0
-    d_db = term.phi_of_ratio - (0.5 * r * slope if r < 1.0 else 0.0)
-    grad = np.array([d_da, d_db])
+    # The ratio is clipped at 1, where it no longer moves with the l1 norm.
+    slope = phi_derivative(r) if r < 1.0 else 0.0
+    grad = np.array([ratio_scale * math.sqrt(term.l2sq) * slope,
+                     term.phi_of_ratio - 0.5 * r * slope])
     var = float(grad @ cov @ grad)
     return prefactor * math.sqrt(max(var, 0.0))
 
 
-def _mc_report(tf: TestFunction, samples: int, seed: int) -> InequalityReport:
-    if samples < MIN_MC_SAMPLES:
-        raise ValueError(f"Monte Carlo mode needs at least {MIN_MC_SAMPLES} samples")
-    rng = np.random.default_rng(seed)
-    x = rng.integers(0, 2, size=(samples, tf.n_bits)).astype(float)
-    y = rng.standard_normal((samples, tf.n_cont))
-
-    vals = np.asarray(tf.fn(x, y), dtype=float)
+def _mc_inequality(vals: np.ndarray, partials: list[np.ndarray],
+                   discrete_samples: np.ndarray, ratio_scale: float,
+                   prefactor: float) -> InequalityReport:
+    """Monte Carlo report from per-sample values, continuous partials and
+    summed squared discrete gradients; the tolerance is 3 combined standard
+    errors of the two sides."""
+    n = vals.size
     lhs, lhs_se = _variance_and_se(vals)
-
-    disc_samples = np.zeros(samples)
-    for q in range(tf.n_bits):
-        xq = x.copy()
-        xq[:, q] = 1.0 - xq[:, q]
-        flipped = np.asarray(tf.fn(xq, y), dtype=float)
-        disc_samples += (0.5 * (vals - flipped)) ** 2
-    discrete = float(np.mean(disc_samples))
-    disc_se = float(np.std(disc_samples, ddof=1)) / math.sqrt(samples) if tf.n_bits else 0.0
+    discrete = float(np.mean(discrete_samples))
+    rhs_var = (float(np.std(discrete_samples, ddof=1)) / math.sqrt(n)) ** 2
 
     terms = []
-    rhs_var = disc_se ** 2
-    for i, dfun in enumerate(tf.partials):
-        dvals = np.asarray(dfun(x, y), dtype=float)
-        dvals = np.broadcast_to(dvals, (samples,))
-        l1 = float(np.mean(np.abs(dvals)))
-        l2sq = float(np.mean(dvals ** 2))
-        term = _term_from_norms(i, l1, l2sq)
+    for i, dvals in enumerate(partials):
+        term = _term_from_norms(i, float(np.mean(np.abs(dvals))), float(np.mean(dvals ** 2)),
+                                ratio_scale, prefactor)
         terms.append(term)
-        rhs_var += _term_se(dvals, term, 1.0, 1.0) ** 2
+        rhs_var += _term_se(dvals, term, ratio_scale, prefactor) ** 2
 
     rhs = discrete + sum(t.contribution for t in terms)
     margin = rhs - lhs
@@ -234,6 +233,18 @@ def _mc_report(tf: TestFunction, samples: int, seed: int) -> InequalityReport:
                             margin=margin, method="monte-carlo",
                             error_estimate=combined, tolerance=tol,
                             passed=margin >= -tol)
+
+
+def _mc_report(tf: TestFunction, samples: int, seed: int) -> InequalityReport:
+    if samples < MIN_MC_SAMPLES:
+        raise ValueError(f"Monte Carlo mode needs at least {MIN_MC_SAMPLES} samples")
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 2, size=(samples, tf.n_bits)).astype(float)
+    y = rng.standard_normal((samples, tf.n_cont))
+    vals = _values(tf.fn, x, y)
+    partials = [_values(dfun, x, y) for dfun in tf.partials]
+    return _mc_inequality(vals, partials, _discrete_gradients(tf, x, y, vals).sum(axis=0),
+                          1.0, 1.0)
 
 
 def verify_modified_poincare(tf: TestFunction, rule: Optional[QuadratureRule] = None,
@@ -259,11 +270,8 @@ class VarianceSplitReport:
 
 def verify_variance_split(tf: TestFunction, rule: QuadratureRule) -> VarianceSplitReport:
     """Check Var(f) = E[Var over the cube] + Var[cube average] exactly."""
-    cube = _cube(tf.n_bits)
-    nodes, weights = _tensor_grid(rule, tf.n_cont)
-    k = cube.shape[0]
-    vals = np.asarray(tf.fn(cube[:, None, :], nodes[None, :, :]), dtype=float)
-    vals = np.broadcast_to(vals, (k, nodes.shape[0]))
+    x, y, weights = _quad_points(tf, rule)
+    vals = _values(tf.fn, x, y)
 
     col_mean = vals.mean(axis=0)
     col_var = (vals ** 2).mean(axis=0) - col_mean ** 2
@@ -331,28 +339,9 @@ def verify_chi2_inequality(g: Callable, gprime: Callable, k: int, alpha: float,
     ck = c_k(k)
     rng = np.random.default_rng(seed)
     y = rng.gamma(shape=k / 2.0, scale=1.0 / alpha, size=samples)
-
-    vals = np.asarray(g(y), dtype=float)
-    vals = np.broadcast_to(vals, (samples,))
-    lhs, lhs_se = _variance_and_se(vals)
-
-    dvals = np.asarray(gprime(y), dtype=float) * np.sqrt(y)
-    dvals = np.broadcast_to(dvals, (samples,))
-    l1 = float(np.mean(np.abs(dvals)))
-    l2sq = float(np.mean(dvals ** 2))
-    pref = 2.0 / alpha
-    term = _term_from_norms(0, l1, l2sq, ratio_scale=ck, prefactor=pref)
-    rhs = term.contribution
-    rhs_se = _term_se(dvals, term, ck, pref)
-
-    margin = rhs - lhs
-    combined = math.hypot(lhs_se, rhs_se)
-    tol = 3.0 * combined
-    return InequalityReport(lhs_variance=lhs, discrete_term=0.0,
-                            continuous_terms=(term,), rhs_total=rhs,
-                            margin=margin, method="monte-carlo",
-                            error_estimate=combined, tolerance=tol,
-                            passed=margin >= -tol)
+    vals = np.broadcast_to(np.asarray(g(y), dtype=float), (samples,))
+    dvals = np.broadcast_to(np.asarray(gprime(y), dtype=float) * np.sqrt(y), (samples,))
+    return _mc_inequality(vals, [dvals], np.zeros(samples), ck, 2.0 / alpha)
 
 
 def verify_change_of_variables(f: Callable, fprime: Callable,
@@ -366,27 +355,9 @@ def verify_change_of_variables(f: Callable, fprime: Callable,
     if samples < MIN_MC_SAMPLES:
         raise ValueError(f"need at least {MIN_MC_SAMPLES} samples")
     y = _dist_sample(dist, seed, samples)
-
-    vals = np.asarray(f(y), dtype=float)
-    vals = np.broadcast_to(vals, (samples,))
-    lhs, lhs_se = _variance_and_se(vals)
-
-    dvals = _psi(dist, y) * np.asarray(fprime(y), dtype=float)
-    dvals = np.broadcast_to(dvals, (samples,))
-    l1 = float(np.mean(np.abs(dvals)))
-    l2sq = float(np.mean(dvals ** 2))
-    term = _term_from_norms(0, l1, l2sq, prefactor=2.0)
-    rhs = term.contribution
-    rhs_se = _term_se(dvals, term, 1.0, 2.0)
-
-    margin = rhs - lhs
-    combined = math.hypot(lhs_se, rhs_se)
-    tol = 3.0 * combined
-    return InequalityReport(lhs_variance=lhs, discrete_term=0.0,
-                            continuous_terms=(term,), rhs_total=rhs,
-                            margin=margin, method="monte-carlo",
-                            error_estimate=combined, tolerance=tol,
-                            passed=margin >= -tol)
+    vals = np.broadcast_to(np.asarray(f(y), dtype=float), (samples,))
+    dvals = np.broadcast_to(_psi(dist, y) * np.asarray(fprime(y), dtype=float), (samples,))
+    return _mc_inequality(vals, [dvals], np.zeros(samples), 1.0, 2.0)
 
 
 def _lead(x: np.ndarray, y: np.ndarray, value: float) -> np.ndarray:

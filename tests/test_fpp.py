@@ -7,9 +7,19 @@ from fppvar import fpp
 from fppvar.edge_distributions import exponential, parse_distribution
 
 
+def adjacency(grid: fpp.GridSpec) -> list[list[tuple[int, int]]]:
+    """(neighbour, edge) pairs per vertex, built from the edge endpoint arrays."""
+    adj = [[] for _ in range(grid.vertex_count)]
+    for e, (t, h) in enumerate(zip(grid.edge_tails.tolist(), grid.edge_heads.tolist())):
+        adj[t].append((h, e))
+        adj[h].append((t, e))
+    return adj
+
+
 def enumerate_simple_paths(grid: fpp.GridSpec, src, dst):
     """All simple paths src -> dst as edge-index tuples (DFS oracle)."""
     si, di = grid.vertex_index(src), grid.vertex_index(dst)
+    adj = adjacency(grid)
     paths = []
     stack = [(si, [], {si})]
     while stack:
@@ -17,7 +27,7 @@ def enumerate_simple_paths(grid: fpp.GridSpec, src, dst):
         if v == di:
             paths.append(tuple(edges))
             continue
-        for w, e in grid._adjacency[v]:
+        for w, e in adj[v]:
             if w not in seen:
                 stack.append((w, edges + [e], seen | {w}))
     return paths
@@ -38,9 +48,7 @@ class TestGridSpec:
 
     def test_interior_degree(self):
         g = fpp.GridSpec(lo=(0, 0), hi=(4, 4))
-        counts = np.zeros(g.vertex_count, dtype=int)
-        for vi, adj in enumerate(g._adjacency):
-            counts[vi] = len(adj)
+        counts = [len(adj) for adj in adjacency(g)]
         interior = g.vertex_index((2, 2))
         assert counts[interior] == 4
         assert counts[g.vertex_index((0, 0))] == 2
@@ -247,6 +255,9 @@ class TestSingleEdgeResponse:
             fpp.single_edge_response(field, (2, 2), 0, np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             fpp.single_edge_response(field, (2, 2), 0, np.array([0.0, 0.0, 1.0]))
+        for bad in ([0.0, np.nan, 2.0], [0.0, 1.0, np.inf]):
+            with pytest.raises(ValueError, match="finite"):
+                fpp.single_edge_response(field, (2, 2), 0, np.array(bad))
 
 
 class TestAveragedPassageTime:

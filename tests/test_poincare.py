@@ -74,6 +74,7 @@ class TestModifiedPoincare:
 
     def test_linear_is_tight(self):
         rep = P.verify_modified_poincare(P.REGISTRY["linear-1d"], rule=RULE)
+        assert type(rep.discrete_term) is float  # the JSON report prints 0.0, not 0
         assert rep.lhs_variance == pytest.approx(1.0, abs=1e-12)
         assert rep.rhs_total == pytest.approx(1.0, abs=1e-9)
         assert abs(rep.margin) <= 1e-6
@@ -114,6 +115,20 @@ class TestModifiedPoincare:
                                          mc={"samples": 50_000, "seed": 3})
         assert rep.method == "monte-carlo"
         assert rep.margin >= -rep.tolerance
+
+    def test_mc_error_bar_of_two_point_law(self):
+        # oracle: the spread of the sample variance of Bernoulli(1/2) over seeds
+        tf = P.REGISTRY["bit-single"]
+        reps = [P.verify_modified_poincare(tf, mc={"samples": 2000, "seed": s})
+                for s in range(400)]
+        spread = float(np.std([r.lhs_variance for r in reps], ddof=1))
+        median_se = float(np.median([r.error_estimate for r in reps]))
+        assert spread / 2 <= median_se <= 2 * spread
+
+    def test_mc_two_point_law_passes(self):
+        tf = P.REGISTRY["bit-single"]
+        for seed in range(64):
+            assert P.verify_modified_poincare(tf, mc={"samples": 20_000, "seed": seed}).passed, seed
 
     def test_mc_sample_floor(self):
         with pytest.raises(ValueError):
