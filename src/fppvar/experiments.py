@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fpp
-from .edge_distributions import EdgeDistribution, parse_distribution, sample
+from .edge_distributions import EdgeDistribution, sample
 
 CSV_HEADER = "n,samples,mean,var,se_var,mean_over_n,var_over_n,var_logn_over_n,seed"
 
@@ -80,9 +80,10 @@ class SweepResult:
 _CTX: dict = {}
 
 
-def _init_worker(spec: str, d: int, n: int, seed: int) -> None:
+def _init_worker(dist: EdgeDistribution, d: int, n: int, seed: int) -> None:
+    # The law itself, not its name: names round parameters to 6 digits.
     grid = box_for_target(d, n)
-    _CTX.update(dist=parse_distribution(spec), grid=grid, n=n, seed=seed,
+    _CTX.update(dist=dist, grid=grid, n=n, seed=seed,
                 src=grid.vertex_index((0,) * d),
                 dst=grid.vertex_index((n,) + (0,) * (d - 1)),
                 template=grid._csr_template)
@@ -106,11 +107,11 @@ def _replicate_values(dist: EdgeDistribution, d: int, n: int, samples: int,
                       seed: int, workers: int) -> np.ndarray:
     chunks = [range(a, min(a + 64, samples)) for a in range(0, samples, 64)]
     if workers <= 1:
-        _init_worker(dist.name, d, n, seed)
+        _init_worker(dist, d, n, seed)
         parts = [_run_chunk(c) for c in chunks]
     else:
         with mp.Pool(workers, initializer=_init_worker,
-                     initargs=(dist.name, d, n, seed)) as pool:
+                     initargs=(dist, d, n, seed)) as pool:
             parts = pool.map(_run_chunk, chunks)
     return np.concatenate([np.asarray(p) for p in parts])
 

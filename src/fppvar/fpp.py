@@ -7,19 +7,21 @@ its index is the axis offset plus the row-major index of v over the box with
 that axis shortened by one.  This indexing is part of the reproducibility
 contract: a weight field is a pure function of (distribution spec, seed).
 
-Shortest paths are computed by a label-setting scan with a binary heap;
-exact ties between candidate predecessor edges resolve to the smaller edge
-index (a measure-zero event for continuous weights).  Derivative-sensitive
-operations additionally *detect* near-ties between distinct geodesics and
-refuse, signalling the caller to redraw the field.
+Distances are csgraph Dijkstra labels (:func:`distances_from`).  A geodesic
+is read back from them: from the target, the walk steps over the tight edge
+(far label + weight == near label, exact because csgraph adds the same
+floats) of smallest index whose far label is strictly smaller, so exact ties
+resolve to the smaller edge index (a measure-zero event for continuous
+weights).  Where zero or absorbed weights leave no such edge, it follows
+csgraph's predecessor tree.  Derivative-sensitive operations additionally
+*detect* near-ties between distinct geodesics and refuse, signalling the
+caller to redraw the field.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
-from heapq import heappop, heappush
 from typing import Optional, Sequence
 
 import numpy as np
@@ -143,6 +145,7 @@ class GridSpec:
         tails, heads = self._edge_arrays
         return self.vertex_coords(int(tails[e])), self.vertex_coords(int(heads[e]))
 
+    # Unused by the package: kept only for the benchmark's set-up (see ROADMAP).
     @cached_property
     def _adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         tails, heads = self._edge_arrays
@@ -197,88 +200,67 @@ class PassageResult:
     target: tuple[int, ...]
 
 
-def _dijkstra(adj, weights, src: int, dst: Optional[int]):
-    """Label-setting scan; returns (dist, pred_edge) lists.
+def _csr(field: WeightField) -> csr_matrix:
+    grid = field.grid
+    indptr, indices, perm = grid._csr_template
+    return csr_matrix((field.weights[perm], indices, indptr),
+                      shape=(grid.vertex_count, grid.vertex_count))
 
-    Candidate relaxations at exactly equal distance keep the smaller edge
-    index, making the predecessor tree deterministic even under ties.
-    """
-    n = len(adj)
-    dist = [math.inf] * n
-    pred = [-1] * n
-    done = bytearray(n)
-    dist[src] = 0.0
-    heap = [(0.0, src)]
-    while heap:
-        d, vi = heappop(heap)
-        if done[vi]:
-            continue
-        done[vi] = 1
-        if vi == dst:
-            break
-        for wj, e in adj[vi]:
-            if done[wj]:
-                continue
-            nd = d + weights[e]
-            if nd < dist[wj]:
-                dist[wj] = nd
-                pred[wj] = e
-                heappush(heap, (nd, wj))
-            elif nd == dist[wj] and 0 <= pred[wj] and e < pred[wj]:
-                pred[wj] = e
-    return dist, pred
+
+def distances_from(field: WeightField, u: Sequence[int]) -> np.ndarray:
+    """All shortest-path distances (csgraph labels) from u."""
+    return _csgraph_dijkstra(_csr(field), directed=False,
+                             indices=field.grid.vertex_index(u))
+
+
+def _passage(field: WeightField, u: Sequence[int],
+             v: Sequence[int]) -> tuple[PassageResult, np.ndarray]:
+    """The passage result from u to v and the labels from u it was read from."""
+    grid = field.grid
+    ui = grid.vertex_index(u)
+    vi = grid.vertex_index(v)
+    ds = distances_from(field, u)
+    tails, heads = grid._edge_arrays
+    w = field.weights
+    # into[x]: smallest-index tight edge from a strictly lower label into x.
+    missing = grid.edge_count
+    into = np.full(grid.vertex_count, missing, dtype=np.int64)
+    for near, far in ((heads, tails), (tails, heads)):
+        tight = np.flatnonzero((ds[far] + w == ds[near]) & (ds[far] < ds[near]))
+        np.minimum.at(into, near[tight], tight)
+    # Labels never increase along the walk and the fallback steps follow a
+    # tree, so the walk cannot cycle.
+    pred = None
+    edges = []
+    cur = vi
+    while cur != ui:
+        e = int(into[cur])
+        if e == missing:  # zero or absorbed weights: follow csgraph's tree
+            if pred is None:
+                pred = _csgraph_dijkstra(_csr(field), directed=False, indices=ui,
+                                         return_predecessors=True)[1]
+            p = int(pred[cur])
+            e = grid.edge_index(grid.vertex_coords(min(p, cur)),
+                                grid._strides.index(abs(p - cur)))
+        edges.append(e)
+        cur = int(tails[e] + heads[e]) - cur
+    distance = float(ds[vi])
+    if abs(float(w[edges].sum()) - distance) > 1e-9:
+        raise RuntimeError("geodesic weight sum disagrees with the label")
+    return PassageResult(distance=distance, geodesic_edges=tuple(reversed(edges)),
+                         source=tuple(u), target=tuple(v)), ds
 
 
 def passage_time(field: WeightField, u: Sequence[int], v: Sequence[int]) -> PassageResult:
     """Exact passage time and geodesic between two vertices of the box."""
+    return _passage(field, u, v)[0]
+
+
+def _assert_unique_geodesic(field: WeightField, res: PassageResult,
+                            ds: np.ndarray) -> None:
+    """Refuse when an off-geodesic edge lies on a path within tolerance of
+    optimal; ``ds`` are the labels from the source."""
     grid = field.grid
-    ui = grid.vertex_index(u)
-    vi = grid.vertex_index(v)
-    if ui == vi:
-        return PassageResult(0.0, (), tuple(u), tuple(v))
-    weights = field.weights.tolist()
-    dist, pred = _dijkstra(grid._adjacency, weights, ui, vi)
-
-    tails, heads = grid._edge_arrays
-    edges = []
-    cur = vi
-    total = 0.0
-    while cur != ui:
-        e = pred[cur]
-        if e < 0:
-            raise RuntimeError("target unreachable; the box graph is connected "
-                               "so this indicates a bug")
-        edges.append(e)
-        total += weights[e]
-        cur = int(tails[e]) if int(heads[e]) == cur else int(heads[e])
-    if abs(total - dist[vi]) > 1e-9:
-        raise RuntimeError("geodesic weight sum disagrees with the label")
-    return PassageResult(distance=dist[vi], geodesic_edges=tuple(reversed(edges)),
-                         source=tuple(u), target=tuple(v))
-
-
-def distances_from(field: WeightField, u: Sequence[int]) -> np.ndarray:
-    """All shortest-path distances from u, via the sparse-graph solver.
-
-    Same metric as :func:`passage_time` (cross-checked in the test suite);
-    used where only distances are needed and speed matters.
-    """
-    grid = field.grid
-    indptr, indices, perm = grid._csr_template
-    mat = csr_matrix((field.weights[perm], indices, indptr),
-                     shape=(grid.vertex_count, grid.vertex_count))
-    ui = grid.vertex_index(u)
-    return _csgraph_dijkstra(mat, directed=False, indices=ui)
-
-
-def passage_distance(field: WeightField, u: Sequence[int], v: Sequence[int]) -> float:
-    """Distance-only fast path."""
-    return float(distances_from(field, u)[field.grid.vertex_index(v)])
-
-
-def _assert_unique_geodesic(field: WeightField, res: PassageResult) -> None:
-    grid = field.grid
-    ds = distances_from(field, res.source)
     dt = distances_from(field, res.target)
     tails, heads = grid._edge_arrays
     through = np.minimum(ds[tails] + field.weights + dt[heads],
@@ -301,8 +283,8 @@ def edge_derivative(field: WeightField, v: Sequence[int], e: int) -> int:
     if not (0 <= e < grid.edge_count):
         raise ValueError("edge index out of range")
     origin = tuple(0 for _ in range(grid.d))
-    res = passage_time(field, origin, v)
-    _assert_unique_geodesic(field, res)
+    res, ds = _passage(field, origin, v)
+    _assert_unique_geodesic(field, res, ds)
     return 1 if e in res.geodesic_edges else 0
 
 
@@ -335,11 +317,12 @@ def single_edge_response(field: WeightField, v: Sequence[int], e: int,
     if not (0 <= e < grid.edge_count):
         raise ValueError("edge index out of range")
     origin = tuple(0 for _ in range(grid.d))
+    vi = grid.vertex_index(v)
     work = WeightField(grid=grid, weights=field.weights.copy())
     out = np.empty_like(ys)
     for j, y in enumerate(ys):
         work.weights[e] = y
-        out[j] = passage_time(work, origin, v).distance
+        out[j] = distances_from(work, origin)[vi]
     intercept = float(out[0])
     plateau = float(out[-1])
     fitted = np.minimum(intercept + ys, plateau)
@@ -361,4 +344,4 @@ def averaged_passage_time(a, field: WeightField, v: Sequence[int], m: int) -> fl
     shifted = tuple(c + zc for c, zc in zip(v, z))
     if not grid.contains(z) or not grid.contains(shifted):
         raise ValueError("box too small for the shifted endpoints")
-    return passage_time(field, z, shifted).distance
+    return float(distances_from(field, z)[grid.vertex_index(shifted)])

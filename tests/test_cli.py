@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import fppvar
 from fppvar.cli import dispatch
 
 
@@ -22,6 +27,15 @@ class TestPhiCommand:
         code, _, err = run(capsys, "phi", "--u", "2")
         assert code == 2
         assert "must lie in" in err
+
+    def test_module_entry_point_is_silent_on_stderr(self):
+        src = str(pathlib.Path(fppvar.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-m", "fppvar.cli", "phi", "--u", "0.5"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert float(proc.stdout) == pytest.approx(0.6276535611757065, rel=1e-12)
 
 
 class TestPsiCommand:

@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
 from fppvar import experiments as ex
-from fppvar.edge_distributions import exponential
+from fppvar import fpp
+from fppvar.edge_distributions import exponential, sample
 
 DIST = exponential()
 
@@ -81,6 +83,20 @@ class TestSweep:
         a = ex.sweep(DIST, 2, [8, 16], 150, seed=3, workers=1).to_csv()
         b = ex.sweep(DIST, 2, [8, 16], 150, seed=3, workers=4).to_csv()
         assert a == b
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_samples_the_exact_law(self, workers):
+        # the name rounds the rate to 1.23457; replicates must use the law itself
+        dist = exponential(1.23456789)
+        n, samples, seed = 4, 100, 11
+        grid = ex.box_for_target(2, n)
+        want = []
+        for r in range(samples):
+            w = sample(dist, np.random.SeedSequence((seed, n, r)), grid.edge_count)
+            field = fpp.WeightField(grid=grid, weights=w)
+            want.append(fpp.distances_from(field, (0, 0))[grid.vertex_index((n, 0))])
+        got = ex._replicate_values(dist, 2, n, samples, seed, workers)
+        assert np.array_equal(got, np.array(want))
 
     def test_subadditivity_of_means(self):
         # mean/n is nonincreasing along doubling n, up to Monte Carlo noise
