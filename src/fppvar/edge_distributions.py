@@ -40,6 +40,11 @@ class EdgeDistribution:
     ``left_exponent`` is the analytic power alpha with h(x) ~ (x - lo)^alpha
     near the lower endpoint; ``right_exponent`` the mirrored beta for finite
     upper endpoints (None when unknown or when the support is unbounded).
+
+    The quantile calls the family's own ``_ppf`` with the frozen law's
+    parsed shapes, scale and loc, as ``dist.ppf`` does, without that
+    method's generic argument broadcasting, which costs more than the
+    kernel on the arrays a sweep replicate draws.
     """
     name: str
     lo: float
@@ -63,8 +68,16 @@ class EdgeDistribution:
     def logsf(self, y):
         return self.dist.logsf(y)
 
+    def _quantile(self, p: np.ndarray) -> np.ndarray:
+        """The quantile at p in [0, 1], unchecked."""
+        law = self.dist.dist
+        shapes, loc, scale = law._parse_args(*self.dist.args, **self.dist.kwds)
+        return law._ppf(p, *shapes) * scale + loc
+
     def ppf(self, p):
-        return self.dist.ppf(p)
+        """The quantile function; NaN outside [0, 1], as ``dist.ppf``."""
+        p = np.asarray(p, dtype=float)
+        return self._quantile(np.where((p >= 0.0) & (p <= 1.0), p, np.nan))[()]
 
     def mean(self) -> float:
         return float(self.dist.mean())
@@ -73,44 +86,50 @@ class EdgeDistribution:
         return float(self.dist.std())
 
 
+def _num(x: float) -> str:
+    """x in ``:g`` form where that reads back as x, else as its repr."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(float(x))
+
+
 def exponential(rate: float = 1.0) -> EdgeDistribution:
-    if rate <= 0:
-        raise ValueError("rate must be positive")
-    return EdgeDistribution(name=f"exp:rate={rate:g}", lo=0.0, hi=math.inf,
+    if not 0 < rate < math.inf:
+        raise ValueError("rate must be positive and finite")
+    return EdgeDistribution(name=f"exp:rate={_num(rate)}", lo=0.0, hi=math.inf,
                             left_exponent=0.0, right_exponent=None,
                             dist=stats.expon(scale=1.0 / rate))
 
 
 def gamma_family(shape: float, rate: float = 1.0) -> EdgeDistribution:
-    if shape <= 0 or rate <= 0:
-        raise ValueError("shape and rate must be positive")
-    return EdgeDistribution(name=f"gamma:shape={shape:g},rate={rate:g}",
+    if not (0 < shape < math.inf and 0 < rate < math.inf):
+        raise ValueError("shape and rate must be positive and finite")
+    return EdgeDistribution(name=f"gamma:shape={_num(shape)},rate={_num(rate)}",
                             lo=0.0, hi=math.inf,
                             left_exponent=shape - 1.0, right_exponent=None,
                             dist=stats.gamma(a=shape, scale=1.0 / rate))
 
 
 def beta_family(a: float, b: float) -> EdgeDistribution:
-    if a <= 0 or b <= 0:
-        raise ValueError("beta parameters must be positive")
-    return EdgeDistribution(name=f"beta:a={a:g},b={b:g}", lo=0.0, hi=1.0,
+    if not (0 < a < math.inf and 0 < b < math.inf):
+        raise ValueError("beta parameters must be positive and finite")
+    return EdgeDistribution(name=f"beta:a={_num(a)},b={_num(b)}", lo=0.0, hi=1.0,
                             left_exponent=a - 1.0, right_exponent=b - 1.0,
                             dist=stats.beta(a, b))
 
 
 def uniform_family(lo: float = 0.0, hi: float = 1.0) -> EdgeDistribution:
-    if not (0.0 <= lo < hi):
-        raise ValueError("uniform support needs 0 <= lo < hi")
-    return EdgeDistribution(name=f"uniform:lo={lo:g},hi={hi:g}", lo=lo, hi=hi,
+    if not (0.0 <= lo < hi < math.inf):
+        raise ValueError("uniform support needs 0 <= lo < hi < inf")
+    return EdgeDistribution(name=f"uniform:lo={_num(lo)},hi={_num(hi)}", lo=lo, hi=hi,
                             left_exponent=0.0, right_exponent=0.0,
                             dist=stats.uniform(loc=lo, scale=hi - lo))
 
 
 def chi2_family(k: float = 2.0, alpha: float = 0.5) -> EdgeDistribution:
     """Density proportional to e^{-alpha t} t^{k/2 - 1} on t > 0."""
-    if k <= 0 or alpha <= 0:
-        raise ValueError("k and alpha must be positive")
-    return EdgeDistribution(name=f"chi2:k={k:g},alpha={alpha:g}",
+    if not (0 < k < math.inf and 0 < alpha < math.inf):
+        raise ValueError("k and alpha must be positive and finite")
+    return EdgeDistribution(name=f"chi2:k={_num(k)},alpha={_num(alpha)}",
                             lo=0.0, hi=math.inf,
                             left_exponent=k / 2.0 - 1.0, right_exponent=None,
                             dist=stats.gamma(a=k / 2.0, scale=1.0 / alpha))
@@ -178,7 +197,7 @@ def sample(dist: EdgeDistribution, seed, n: int) -> np.ndarray:
     u = rng.random(n)
     # u == 0 occurs with probability 2^-53 and would land on the support endpoint
     np.clip(u, 2.220446049250313e-16, None, out=u)
-    return np.asarray(dist.ppf(u), dtype=float)
+    return dist._quantile(u)
 
 
 @dataclass

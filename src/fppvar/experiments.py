@@ -81,14 +81,12 @@ _CTX: dict = {}
 
 
 def _init_worker(dist: EdgeDistribution, d: int, n: int, seed: int) -> None:
-    # The law itself, not its name: names round parameters to 6 digits.
     grid = box_for_target(d, n)
-    _CTX.update(dist=dist, grid=grid, n=n, seed=seed,
-                src=grid.vertex_index((0,) * d),
-                dst=grid.vertex_index((n,) + (0,) * (d - 1)),
-                template=grid._csr_template)
-    # touch caches once so replicas don't rebuild them
-    _ = grid.edge_count
+    _CTX.update(dist=dist, grid=grid, n=n, seed=seed, src=(0,) * d,
+                dst=grid.vertex_index((n,) + (0,) * (d - 1)))
+    # Fill the grid caches every replicate reads here, not in the first one.
+    grid.edge_count
+    grid._csr_template
 
 
 def _replicate_value(r: int) -> float:
@@ -96,7 +94,7 @@ def _replicate_value(r: int) -> float:
     ss = np.random.SeedSequence((_CTX["seed"], _CTX["n"], r))
     weights = sample(_CTX["dist"], ss, grid.edge_count)
     field = fpp.WeightField(grid=grid, weights=weights)
-    return float(fpp.distances_from(field, grid.vertex_coords(_CTX["src"]))[_CTX["dst"]])
+    return float(fpp.distances_from(field, _CTX["src"])[_CTX["dst"]])
 
 
 def _run_chunk(indices) -> list[float]:

@@ -7,7 +7,9 @@ its index is the axis offset plus the row-major index of v over the box with
 that axis shortened by one.  This indexing is part of the reproducibility
 contract: a weight field is a pure function of (distribution spec, seed).
 
-Distances are csgraph Dijkstra labels (:func:`distances_from`).  A geodesic
+Distances are csgraph Dijkstra labels (:func:`distances_from`), solved as a
+directed graph over a symmetric adjacency template that holds each edge in
+both directions, so csgraph builds no transpose per solve.  A geodesic
 is read back from them: from the target, the walk steps over the tight edge
 (far label + weight == near label, exact because csgraph adds the same
 floats) of smallest index whose far label is strictly smaller, so exact ties
@@ -53,11 +55,11 @@ class GridSpec:
     def d(self) -> int:
         return len(self.lo)
 
-    @property
+    @cached_property
     def extents(self) -> tuple[int, ...]:
         return tuple(h - l + 1 for l, h in zip(self.lo, self.hi))
 
-    @property
+    @cached_property
     def vertex_count(self) -> int:
         return int(np.prod(self.extents))
 
@@ -79,7 +81,7 @@ class GridSpec:
             acc += int(np.prod(ext))
         return tuple(offsets)
 
-    @property
+    @cached_property
     def edge_count(self) -> int:
         total = 0
         for a in range(self.d):
@@ -158,13 +160,17 @@ class GridSpec:
 
     @cached_property
     def _csr_template(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(indptr, indices, perm): perm maps csr data slots to edge indices."""
+        """(indptr, indices, perm) of the symmetric adjacency, rows sorted:
+        each edge fills one data slot per direction, and perm maps data slots
+        to edge indices.  csgraph solves it as a directed graph, which needs
+        no transpose per solve."""
         tails, heads = self._edge_arrays
-        coo = csr_matrix(
-            (np.arange(self.edge_count, dtype=float) + 1.0, (tails, heads)),
-            shape=(self.vertex_count, self.vertex_count))
-        perm = coo.data.astype(np.int64) - 1
-        return coo.indptr, coo.indices, perm
+        rows = np.concatenate([tails, heads])
+        cols = np.concatenate([heads, tails])
+        slots = np.lexsort((cols, rows))
+        indptr = np.zeros(self.vertex_count + 1, dtype=np.int32)
+        np.cumsum(np.bincount(rows, minlength=self.vertex_count), out=indptr[1:])
+        return indptr, cols[slots].astype(np.int32), slots % self.edge_count
 
 
 @dataclass
@@ -178,7 +184,8 @@ class WeightField:
         self.weights = np.asarray(self.weights, dtype=float)
         if self.weights.shape != (self.grid.edge_count,):
             raise ValueError("weight array length must equal the edge count")
-        if np.any(self.weights < 0) or not np.all(np.isfinite(self.weights)):
+        # min() is NaN when any weight is, and fails the comparison.
+        if not (self.weights.min() >= 0.0 and np.isfinite(self.weights.max())):
             raise ValueError("weights must be finite and nonnegative")
 
 
@@ -209,7 +216,7 @@ def _csr(field: WeightField) -> csr_matrix:
 
 def distances_from(field: WeightField, u: Sequence[int]) -> np.ndarray:
     """All shortest-path distances (csgraph labels) from u."""
-    return _csgraph_dijkstra(_csr(field), directed=False,
+    return _csgraph_dijkstra(_csr(field), directed=True,
                              indices=field.grid.vertex_index(u))
 
 
@@ -237,7 +244,7 @@ def _passage(field: WeightField, u: Sequence[int],
         e = int(into[cur])
         if e == missing:  # zero or absorbed weights: follow csgraph's tree
             if pred is None:
-                pred = _csgraph_dijkstra(_csr(field), directed=False, indices=ui,
+                pred = _csgraph_dijkstra(_csr(field), directed=True, indices=ui,
                                          return_predecessors=True)[1]
             p = int(pred[cur])
             e = grid.edge_index(grid.vertex_coords(min(p, cur)),

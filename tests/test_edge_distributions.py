@@ -1,7 +1,10 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import kstest
 
 from fppvar import edge_distributions as ed
@@ -53,6 +56,96 @@ class TestFamilies:
         with pytest.raises(ValueError):
             ed.uniform_family(-1.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_parameters_rejected(self, bad):
+        # With an infinite rate scipy's _ppf times a zero scale would sample
+        # all-zero weights instead of failing.
+        for make in (lambda: ed.exponential(bad), lambda: ed.gamma_family(bad),
+                     lambda: ed.gamma_family(2.0, bad), lambda: ed.beta_family(bad, 1.0),
+                     lambda: ed.beta_family(1.0, bad), lambda: ed.uniform_family(0.0, bad),
+                     lambda: ed.uniform_family(bad, 1.0), lambda: ed.chi2_family(bad),
+                     lambda: ed.chi2_family(2.0, bad)):
+            with pytest.raises(ValueError):
+                make()
+        with pytest.raises(ValueError):
+            ed.parse_distribution(f"exp:rate={bad}")
+
+
+# Every family at two parameter sets (halfnormal has none), with non-unit
+# rates and scales and the U-shaped beta(0.5, 0.5).
+KERNEL_LAWS = [ed.exponential(), ed.exponential(1.23456789),
+               ed.gamma_family(2.0), ed.gamma_family(0.7, 3.3),
+               ed.beta_family(2.0, 3.0), ed.beta_family(0.5, 0.5),
+               ed.uniform_family(), ed.uniform_family(0.5, 2.75),
+               ed.chi2_family(2.0, 0.5), ed.chi2_family(3.0, 1.7),
+               ed.half_normal()]
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+POSITIVE = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def laws(draw):
+    family = draw(st.sampled_from(["exp", "gamma", "beta", "uniform", "chi2", "halfnormal"]))
+    if family == "exp":
+        return ed.exponential(draw(POSITIVE))
+    if family == "gamma":
+        return ed.gamma_family(draw(POSITIVE), draw(POSITIVE))
+    if family == "beta":
+        return ed.beta_family(draw(POSITIVE), draw(POSITIVE))
+    if family == "chi2":
+        return ed.chi2_family(draw(POSITIVE), draw(POSITIVE))
+    if family == "uniform":
+        lo = draw(st.floats(min_value=0.0, max_value=1e6))
+        hi = draw(st.floats(min_value=lo, max_value=2e6, exclude_min=True))
+        return ed.uniform_family(lo, hi)
+    return ed.half_normal()
+
+
+class TestQuantileKernels:
+    """The direct quantile against scipy's ``rv_frozen.ppf`` as the oracle."""
+
+    @pytest.mark.parametrize("dist", KERNEL_LAWS, ids=lambda d: d.name)
+    def test_sample_matches_frozen_ppf(self, dist):
+        for seed in (0, 1, 2024):
+            u = np.random.default_rng(seed).random(20_000)
+            np.clip(u, 2.220446049250313e-16, None, out=u)
+            assert same_bits(ed.sample(dist, seed, 20_000), dist.dist.ppf(u))
+
+    @pytest.mark.parametrize("dist", KERNEL_LAWS, ids=lambda d: d.name)
+    def test_ppf_matches_frozen_ppf(self, dist):
+        ps = np.array([2.220446049250313e-16, 0.5, 1.0 - 2.0 ** -53, 0.0, 1.0])
+        assert same_bits(dist.ppf(ps), dist.dist.ppf(ps))
+        for p in ps:
+            assert same_bits(dist.ppf(p), dist.dist.ppf(p))
+        assert np.ndim(dist.ppf(0.25)) == 0
+
+    @pytest.mark.parametrize("dist", KERNEL_LAWS, ids=lambda d: d.name)
+    def test_out_of_range_is_nan(self, dist):
+        bad = np.array([-1e-300, -0.5, 1.0 + 2.0 ** -52, 2.0, math.nan, -math.inf, math.inf])
+        assert np.all(np.isnan(dist.ppf(bad)))
+        assert np.all(np.isnan(dist.dist.ppf(bad)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(laws(), st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_random_laws_match_frozen_ppf(self, dist, seed):
+        u = np.random.default_rng(seed).random(64)
+        np.clip(u, 2.220446049250313e-16, None, out=u)
+        assert same_bits(ed.sample(dist, seed, 64), dist.dist.ppf(u))
+        ps = np.concatenate([[0.0, 2.220446049250313e-16, 0.5, 1.0 - 2.0 ** -53, 1.0], u])
+        assert same_bits(dist.ppf(ps), dist.dist.ppf(ps))
+
+    @pytest.mark.parametrize("dist", KERNEL_LAWS, ids=lambda d: d.name)
+    def test_pickled_law_samples_identically(self, dist):
+        back = pickle.loads(pickle.dumps(dist))
+        assert back.name == dist.name
+        assert same_bits(ed.sample(back, 9, 5_000), ed.sample(dist, 9, 5_000))
+
 
 class TestParser:
     def test_specs(self):
@@ -71,6 +164,22 @@ class TestParser:
     def test_names_round_trip(self):
         for dist in FAMILIES:
             assert ed.parse_distribution(dist.name).name == dist.name
+
+    def test_exact_names(self):
+        assert ed.exponential(1.23456789).name == "exp:rate=1.23456789"
+        assert ed.gamma_family(2.0, 1.0).name == "gamma:shape=2,rate=1"
+        assert ed.exponential(1.0).name == "exp:rate=1"
+        assert ed.beta_family(0.1, 1e-7).name == "beta:a=0.1,b=1e-07"
+        assert ed.uniform_family(0.0, 1 / 3).name == "uniform:lo=0,hi=0.3333333333333333"
+
+    @settings(max_examples=200, deadline=None)
+    @given(laws())
+    def test_parse_of_name_reproduces_law(self, dist):
+        back = ed.parse_distribution(dist.name)
+        assert back.name == dist.name
+        ps = np.concatenate([[0.0, 2.220446049250313e-16, 0.5, 1.0 - 2.0 ** -53, 1.0],
+                             np.random.default_rng(0).random(64)])
+        assert same_bits(back.ppf(ps), dist.ppf(ps))
 
 
 class TestPsi:

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from fppvar import fpp
-from fppvar.edge_distributions import exponential, parse_distribution
+from fppvar.edge_distributions import exponential, parse_distribution, sample
+from fppvar.experiments import box_for_target
 
 
 def adjacency(grid: fpp.GridSpec) -> list[list[tuple[int, int]]]:
@@ -111,6 +114,23 @@ class TestWeightField:
         with pytest.raises(ValueError):
             fpp.WeightField(grid=g, weights=w)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0, -5e-324])
+    def test_bad_weight_rejected_anywhere(self, bad):
+        g = fpp.GridSpec(lo=(0, 0), hi=(3, 3))
+        for pos in (0, g.edge_count // 2, g.edge_count - 1):
+            w = np.ones(g.edge_count)
+            w[pos] = bad
+            with pytest.raises(ValueError):
+                fpp.WeightField(grid=g, weights=w)
+
+    def test_negative_zero_accepted(self):
+        g = fpp.GridSpec(lo=(0, 0), hi=(3, 3))
+        for pos in (0, g.edge_count // 2, g.edge_count - 1):
+            w = np.ones(g.edge_count)
+            w[pos] = -0.0
+            fpp.WeightField(grid=g, weights=w)
+        fpp.WeightField(grid=g, weights=np.full(g.edge_count, -0.0))
+
     def test_sampling_reproducible(self):
         g = fpp.GridSpec(lo=(0, 0), hi=(3, 3))
         f1 = fpp.field_from_distribution(g, "exp:rate=1", 42)
@@ -184,6 +204,31 @@ class TestPassageTime:
             assert fpp.distances_from(field, (-1, 0)).tolist() == want
             got = fpp.passage_time(field, (-1, 0), (7, 3)).distance
             assert got == want[g.vertex_index((7, 3))]
+
+    @pytest.mark.parametrize("n", [4, 16, 64])
+    def test_undirected_upper_triangular_oracle(self, n):
+        # csgraph's undirected solve of the upper-triangular matrix (each edge
+        # once, tail to head) is the reference: labels must match bit for bit
+        # at every vertex, and so must the predecessor tree the geodesic walk
+        # falls back on where zero weights leave no strictly lower neighbour.
+        g = box_for_target(2, n)
+        rng = np.random.default_rng(n)
+        fields = [sample(parse_distribution(spec), seed, g.edge_count)
+                  for spec in ("exp:rate=1", "gamma:shape=2", "beta:a=0.5,b=0.5")
+                  for seed in range(3)]
+        fields.append(np.ones(g.edge_count))
+        fields += [rng.integers(0, 3, g.edge_count).astype(float) for _ in range(3)]
+        shape = (g.vertex_count, g.vertex_count)
+        for w in fields:
+            upper = csr_matrix((w, (g.edge_tails, g.edge_heads)), shape=shape)
+            field = fpp.WeightField(grid=g, weights=w)
+            for src in ((0, 0), g.vertex_coords(int(rng.integers(g.vertex_count)))):
+                want, want_pred = dijkstra(upper, directed=False, indices=g.vertex_index(src),
+                                           return_predecessors=True)
+                assert fpp.distances_from(field, src).tobytes() == want.tobytes()
+                pred = dijkstra(fpp._csr(field), directed=True, indices=g.vertex_index(src),
+                                return_predecessors=True)[1]
+                assert np.array_equal(pred, want_pred)
 
     def test_unit_weights_smallest_index_geodesic(self):
         # 3x3 box: edges 0-5 run along axis 0 (index 3x + y), 6-11 along
