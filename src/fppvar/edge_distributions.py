@@ -51,7 +51,7 @@ class EdgeDistribution:
     hi: float
     left_exponent: Optional[float]
     right_exponent: Optional[float]
-    dist: stats.distributions.rv_frozen = field(repr=False)
+    dist: stats.distributions.rv_frozen = field(repr=False, compare=False)
 
     def pdf(self, y):
         return self.dist.pdf(y)

@@ -22,6 +22,7 @@ caller to redraw the field.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -72,23 +73,13 @@ class GridSpec:
 
     @cached_property
     def _axis_offsets(self) -> tuple[int, ...]:
-        offsets = []
-        acc = 0
-        for a in range(self.d):
-            offsets.append(acc)
-            ext = list(self.extents)
-            ext[a] -= 1
-            acc += int(np.prod(ext))
-        return tuple(offsets)
+        """First edge index of each axis, then the edge count."""
+        per_axis = (self.vertex_count // e * (e - 1) for e in self.extents)
+        return (0, *itertools.accumulate(per_axis))
 
     @cached_property
     def edge_count(self) -> int:
-        total = 0
-        for a in range(self.d):
-            ext = list(self.extents)
-            ext[a] -= 1
-            total += int(np.prod(ext))
-        return total
+        return self._axis_offsets[-1]
 
     def contains(self, v: Sequence[int]) -> bool:
         return all(l <= c <= h for c, l, h in zip(v, self.lo, self.hi))

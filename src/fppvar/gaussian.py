@@ -2,10 +2,10 @@
 
 Everything downstream (the change-of-variables map, the inequality checks,
 the tail classifier) composes these functions, so the tail behaviour is the
-whole point: ``cdf``/``quantile`` round-trip to relative accuracy ~1e-13 for
-probabilities down to 1e-300, and ``pdf_at_quantile`` stays finite and
-positive on the same range by switching to a log-space Mills-series branch
-below ``TAIL_SWITCH``.
+whole point.  ``quantile`` is scipy's ``ndtri``, and ``pdf_at_quantile``
+divides the small-side probability by the Mills ratio written with
+``erfcx``; both hold full double precision for probabilities down to
+1e-300 (measured against 50-digit mpmath roots of cdf(x) = p).
 
 All scalar functions also accept ndarrays and broadcast elementwise.
 """
@@ -17,15 +17,12 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erfc
+from scipy.special import erfc, erfcx, ndtri
 
 SQRT2 = math.sqrt(2.0)
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-
-# Below this probability, quantile composition switches to the asymptotic
-# (log-space) branch; double precision still works here but the margin shrinks.
-TAIL_SWITCH = 1e-12
+SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
 
 
 def _validate_finite(x: np.ndarray, name: str) -> None:
@@ -74,128 +71,33 @@ def sf(x):
     return _ret(0.5 * erfc(arr / SQRT2), scalar)
 
 
-# Acklam's rational approximation to the Gaussian quantile (abs error < 1.2e-9),
-# used only as the Newton starting point.
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-_P_LOW = 0.02425
-
-
-def _acklam_small(p: np.ndarray) -> np.ndarray:
-    """Initial guess for quantile(p), valid on 0 < p <= 0.5."""
-    out = np.empty_like(p)
-    tail = p < _P_LOW
-    if np.any(tail):
-        q = np.sqrt(-2.0 * np.log(p[tail]))
-        out[tail] = (((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / \
-            ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)
-    mid = ~tail
-    if np.any(mid):
-        q = p[mid] - 0.5
-        r = q * q
-        out[mid] = (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q / \
-            (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0)
-    return out
-
-
-def _quantile_small(p: np.ndarray) -> np.ndarray:
-    """Quantile on 0 < p <= 0.5, Acklam start + Newton polish on ``cdf``.
-
-    Three Newton steps take the 1e-9 seed error far below the 1e-12
-    round-trip target; cdf(x) = 0.5*erfc(|x|/sqrt(2)) has no cancellation on
-    this side, so the residual cdf(x)-p carries full relative accuracy.
-    """
-    x = _acklam_small(p)
-    for _ in range(3):
-        err = 0.5 * erfc(-x / SQRT2) - p
-        dens = INV_SQRT_2PI * np.exp(-0.5 * x * x)
-        x = x - err / dens
-    return x
-
-
 def quantile(p):
-    """Inverse of ``cdf`` on (0, 1); accepts p down to 1e-300.
+    """Inverse of ``cdf`` on (0, 1): scipy's ``ndtri``.
 
-    Satisfies |cdf(quantile(p)) - p| <= 1e-12 * max(p, 1-p), and in the
-    lower tail the recovery is relative: |cdf(q(p)) - p| <~ 1e-13 * p.
+    Within 3e-16 relative of a 50-digit root of cdf(x) = p on
+    [1e-300, 0.5] and its mirror (tested against mpmath).
     """
     arr, scalar = _as_float_array(p)
     if not np.all((arr > 0.0) & (arr < 1.0)):
         raise ValueError("p must lie strictly inside (0, 1)")
-    out = np.empty_like(arr)
-    lo = arr <= 0.5
-    if np.any(lo):
-        out[lo] = _quantile_small(arr[lo])
-    hi = ~lo
-    if np.any(hi):
-        out[hi] = -_quantile_small(1.0 - arr[hi])
-    return _ret(out, scalar)
-
-
-def _mills_series(u: np.ndarray) -> np.ndarray:
-    """S(u) with sf(u) = pdf(u)/u * S(u); asymptotic sum 1 - 1/u^2 + 3/u^4 - ...
-
-    Summed until terms stop improving; for u >= 7 the truncation error is
-    below 1e-13.
-    """
-    u2 = u * u
-    s = np.ones_like(u)
-    term = np.ones_like(u)
-    active = np.ones_like(u, dtype=bool)
-    for k in range(1, 40):
-        nxt = -term * (2 * k - 1) / u2
-        active &= np.abs(nxt) < np.abs(term)
-        if not np.any(active):
-            break
-        term = np.where(active, nxt, 0.0)
-        s += term
-        if np.all(np.abs(term) < 1e-18):
-            break
-    return s
-
-
-def _pdf_at_quantile_tail(q: np.ndarray) -> np.ndarray:
-    """pdf(quantile(q)) for very small q, entirely in log space.
-
-    Solves sf(u) = q by Newton on u -> log sf(u) using the Mills series,
-    then returns pdf(u) = q * u / S(u); no intermediate quantity can
-    under- or overflow for any positive representable q.
-    """
-    log_q = np.log(q)
-    u = np.sqrt(-2.0 * log_q)
-    for _ in range(6):
-        s = _mills_series(u)
-        log_sf = -0.5 * u * u - LOG_SQRT_2PI - np.log(u) + np.log(s)
-        # d(log sf)/du = -u/S(u)
-        u = u + (log_sf - log_q) * s / u
-    return q * u / _mills_series(u)
+    return _ret(ndtri(arr), scalar)
 
 
 def pdf_at_quantile(p):
     """The composition pdf(quantile(p)); symmetric under p <-> 1-p.
 
-    Below ``TAIL_SWITCH`` the asymptotic branch takes over; the relative jump
-    across the seam is ~1e-13 (tested).  Near 0 the value behaves like
+    With q = min(p, 1-p) and x = ndtri(q) <= 0, the Mills-ratio identity
+    pdf(x) = cdf(x) / R(x), R(x) = sqrt(pi/2) * erfcx(-x/sqrt(2)), gives
+    q / R(x) with no branch and nothing that under- or overflows.  Within
+    6e-16 relative of pdf at a 50-digit root of cdf(x) = p on [1e-300, 0.5]
+    and its mirror (tested against mpmath).  Near 0 the value behaves like
     p * sqrt(-2 log p).
     """
     arr, scalar = _as_float_array(p)
     if not np.all((arr > 0.0) & (arr < 1.0)):
         raise ValueError("p must lie strictly inside (0, 1)")
     q = np.minimum(arr, 1.0 - arr)
-    out = np.empty_like(q)
-    tiny = q < TAIL_SWITCH
-    if np.any(tiny):
-        out[tiny] = _pdf_at_quantile_tail(q[tiny])
-    rest = ~tiny
-    if np.any(rest):
-        out[rest] = INV_SQRT_2PI * np.exp(-0.5 * _quantile_small(q[rest]) ** 2)
-    return _ret(out, scalar)
+    return _ret(q / (SQRT_HALF_PI * erfcx(-ndtri(q) / SQRT2)), scalar)
 
 
 @dataclass(frozen=True)

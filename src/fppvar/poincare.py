@@ -32,6 +32,7 @@ from functools import reduce
 from typing import Callable, Optional
 
 import numpy as np
+from scipy import special
 
 from . import gaussian
 from .edge_distributions import EdgeDistribution, psi as _psi, sample as _dist_sample
@@ -307,21 +308,14 @@ def verify_tensorisation(g: Callable[[np.ndarray], np.ndarray],
                                holds=var <= total + 1e-12)
 
 
-def _wallis(m: int) -> float:
-    """int_0^pi sin(t)^m dt by the two-term recurrence."""
-    val = math.pi if m % 2 == 0 else 2.0
-    k = 2 if m % 2 == 0 else 3
-    while k <= m:
-        val *= (k - 1) / k
-        k += 2
-    return val
-
-
 def c_k(k: int) -> float:
-    """The ratio constant 2*sqrt(k) / ((k-1) * int_0^pi sin^(k-2)); in (0, 1)."""
+    """The ratio constant 2*sqrt(k) / ((k-1) * int_0^pi sin^(k-2)); in (0, 1).
+
+    The integral is the Beta function B(1/2, (k-1)/2).
+    """
     if k < 2 or int(k) != k:
         raise ValueError("k must be an integer >= 2")
-    return 2.0 * math.sqrt(k) / ((k - 1) * _wallis(k - 2))
+    return 2.0 * math.sqrt(k) / ((k - 1) * float(special.beta(0.5, 0.5 * (k - 1))))
 
 
 def verify_chi2_inequality(g: Callable, gprime: Callable, k: int, alpha: float,

@@ -32,6 +32,10 @@ class TestFamilies:
         s = ed.sample(dist, 2024, 10_000)
         assert kstest(s, dist.cdf).statistic <= 0.02
 
+    def test_equality_by_law(self):
+        assert ed.exponential() == ed.exponential()
+        assert ed.exponential(1.0) != ed.exponential(2.0)
+
     def test_sampler_deterministic(self):
         d = ed.exponential()
         a = ed.sample(d, 7, 3)
@@ -143,7 +147,7 @@ class TestQuantileKernels:
     @pytest.mark.parametrize("dist", KERNEL_LAWS, ids=lambda d: d.name)
     def test_pickled_law_samples_identically(self, dist):
         back = pickle.loads(pickle.dumps(dist))
-        assert back.name == dist.name
+        assert back == dist
         assert same_bits(ed.sample(back, 9, 5_000), ed.sample(dist, 9, 5_000))
 
 
@@ -177,6 +181,7 @@ class TestParser:
     def test_parse_of_name_reproduces_law(self, dist):
         back = ed.parse_distribution(dist.name)
         assert back.name == dist.name
+        assert back == dist and hash(back) == hash(dist)
         ps = np.concatenate([[0.0, 2.220446049250313e-16, 0.5, 1.0 - 2.0 ** -53, 1.0],
                              np.random.default_rng(0).random(64)])
         assert same_bits(back.ppf(ps), dist.ppf(ps))

@@ -121,16 +121,43 @@ class TestPdfAtQuantile:
         assert all(r <= 1.0 for r in ratios)
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
 
-    def test_branch_seam_continuity(self):
-        # both branches evaluated at the switch point itself
-        p = np.array([G.TAIL_SWITCH])
-        tail = G._pdf_at_quantile_tail(p)[0]
-        direct = float(G.pdf(G._quantile_small(p)[0]))
-        assert abs(tail - direct) / direct <= 1e-6
-
     def test_finite_at_extreme(self):
         v = G.pdf_at_quantile(1e-300)
         assert 0.0 < v < math.inf
+
+
+# Log grid over [1e-300, 0.5], dense on [1e-13, 1e-11], and mirrored points
+# above 0.5 (1 - p is exact there).
+ORACLE_P = np.concatenate([
+    np.geomspace(1e-300, 0.5, 300), np.geomspace(1e-13, 1e-11, 100),
+    1.0 - np.geomspace(2.0 ** -53, 0.49, 40), [0.51, 0.9, 0.99, 1.0 - 1e-10]])
+
+
+@pytest.fixture(scope="module")
+def oracle_roots():
+    """50-digit roots of ncdf(x) = p from a bracketing solver on log ncdf."""
+    with mpmath.workdps(50):
+        roots = []
+        for p in ORACLE_P:
+            mp = mpmath.mpf(float(p))
+            log_q = mpmath.log(min(mp, 1 - mp))
+            x = mpmath.findroot(lambda t: mpmath.log(mpmath.ncdf(t)) - log_q,
+                                (mpmath.mpf(-40), mpmath.mpf(0)), solver="illinois")
+            roots.append(x if mp <= 0.5 else -x)
+    return roots
+
+
+class TestAgainstMpmathRoots:
+    def test_quantile(self, oracle_roots):
+        for p, x in zip(ORACLE_P, oracle_roots):
+            # at p = 0.5 the root is 0 and the solver leaves ~1e-52
+            assert abs(G.quantile(p) - x) <= 1e-15 * abs(x) + 1e-40, p
+
+    def test_pdf_at_quantile(self, oracle_roots):
+        got = G.pdf_at_quantile(ORACLE_P)
+        for p, x, v in zip(ORACLE_P, oracle_roots, got):
+            want = mpmath.npdf(x)
+            assert abs(v - want) <= 1e-14 * want, p
 
 
 class TestQuadratureRule:
