@@ -5,8 +5,10 @@ fpp run | response | sweep.  Reports are JSON, tables are CSV.  Exit codes:
 0 success, 1 verification failure (an inequality margin below tolerance or a
 failed property check), 2 usage or domain error.
 
-A ``--config FILE`` of flat ``key=value`` lines supplies defaults; explicit
-command-line flags always win.
+``--config FILE`` holds ``key=value`` lines.  A key is a long option name
+without dashes (``grid-size``, ``y-max``) and sets that option's default in
+every subcommand that has it, required options included; flags still win.
+Values are checked like flags, and an unknown key exits 2.
 """
 
 from __future__ import annotations
@@ -43,15 +45,6 @@ def _load_config(path: str) -> dict[str, str]:
     return out
 
 
-def _resolve(ns: argparse.Namespace, config: dict[str, str], key: str, cast, default):
-    val = getattr(ns, key.replace("-", "_"), None)
-    if val is not None:
-        return val
-    if key in config:
-        return cast(config[key])
-    return default
-
-
 def _seed_type(text: str) -> int:
     val = int(text)
     if not (0 <= val <= MAX_SEED):
@@ -79,107 +72,117 @@ def _jsonable(value):
     raise TypeError(f"not JSON serializable: {type(value)}")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(config: dict[str, str]) -> argparse.ArgumentParser:
+    keys = set()
+
+    def opt(p, flag, **kw):
+        # argparse converts a string default with the option's type, so a
+        # config value is checked like a flag; it skips choices, so we don't.
+        key = flag[2:]
+        keys.add(key)
+        if key in config:
+            if "choices" in kw and config[key] not in kw["choices"]:
+                raise CliError(f"config {key}={config[key]!r}: "
+                               f"choose from {', '.join(kw['choices'])}")
+            kw.update(default=config[key], required=False)
+        p.add_argument(flag, **kw)
+
+    def command(subs, name, handler, summary):
+        p = subs.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
+        opt(p, "--out")
+        return p
+
     parser = argparse.ArgumentParser(prog="fppvar")
     parser.add_argument("--config", help="key=value defaults file")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("phi", help="evaluate the variance-discount function")
-    p.add_argument("--u", type=float, required=True)
-    p.add_argument("--out")
+    p = command(sub, "phi", _cmd_phi, "evaluate the variance-discount function")
+    opt(p, "--u", type=float, required=True)
 
-    p = sub.add_parser("psi", help="evaluate the quantile-coupling factor")
-    p.add_argument("--dist", required=True)
-    p.add_argument("--y", type=float, required=True)
-    p.add_argument("--out")
+    p = command(sub, "psi", _cmd_psi, "evaluate the quantile-coupling factor")
+    opt(p, "--dist", required=True)
+    opt(p, "--y", type=float, required=True)
 
-    p = sub.add_parser("check-neargamma", help="nearly-gamma classification report")
-    p.add_argument("--dist", required=True)
-    p.add_argument("--grid-size", type=int)
-    p.add_argument("--out")
+    p = command(sub, "check-neargamma", _cmd_check_neargamma,
+                "nearly-gamma classification report")
+    opt(p, "--dist", required=True)
+    opt(p, "--grid-size", type=int, default=50_000)
 
-    p = sub.add_parser("verify-poincare", help="variance inequality report")
-    p.add_argument("--function", required=True,
-                   choices=sorted(poincare.REGISTRY))
-    p.add_argument("--mode", choices=("quad", "mc"), default="quad")
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=_seed_type)
-    p.add_argument("--order", type=int)
-    p.add_argument("--out")
+    p = command(sub, "verify-poincare", _cmd_verify_poincare, "variance inequality report")
+    opt(p, "--function", required=True, choices=sorted(poincare.REGISTRY))
+    opt(p, "--mode", choices=("quad", "mc"), default="quad")
+    opt(p, "--samples", type=int, default=100_000)
+    opt(p, "--seed", type=_seed_type, default=0)
+    opt(p, "--order", type=int, help="default 64, or 24 above 2 Gaussian coordinates")
 
-    p = sub.add_parser("averaging", help="cube averaging function")
-    p.add_argument("--m", type=int, required=True)
+    p = command(sub, "averaging", _cmd_averaging, "cube averaging function")
+    opt(p, "--m", type=int, required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--verify", action="store_true")
     group.add_argument("--eval", metavar="BITSTRING")
-    p.add_argument("--out")
 
     fp = sub.add_parser("fpp", help="first passage percolation")
     fsub = fp.add_subparsers(dest="fpp_command", required=True)
 
-    p = fsub.add_parser("run", help="one passage time with geodesic")
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--dist")
-    p.add_argument("--seed", type=_seed_type)
-    p.add_argument("--out")
+    def field_opts(p):
+        opt(p, "--d", type=int, default=2)
+        opt(p, "--n", type=int, required=True)
+        opt(p, "--dist", default="exp:rate=1")
+        opt(p, "--seed", type=_seed_type, default=0)
 
-    p = fsub.add_parser("response", help="single-edge response curve (CSV)")
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--dist")
-    p.add_argument("--seed", type=_seed_type)
-    p.add_argument("--edge", type=int, required=True)
-    p.add_argument("--y-max", type=float)
-    p.add_argument("--grid-points", type=int)
-    p.add_argument("--out")
+    p = command(fsub, "run", _cmd_fpp_run, "one passage time with geodesic")
+    field_opts(p)
 
-    p = fsub.add_parser("sweep", help="variance scaling sweep (CSV)")
-    p.add_argument("--dist")
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--ns")
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=_seed_type)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--out")
+    p = command(fsub, "response", _cmd_fpp_response, "single-edge response curve (CSV)")
+    field_opts(p)
+    opt(p, "--edge", type=int, required=True)
+    opt(p, "--y-max", type=float, default=30.0)
+    opt(p, "--grid-points", type=int, default=61)
 
+    p = command(fsub, "sweep", _cmd_fpp_sweep, "variance scaling sweep (CSV)")
+    opt(p, "--dist", default="exp:rate=1")
+    opt(p, "--d", type=int, default=2)
+    opt(p, "--ns", default="8,16,32,64")
+    opt(p, "--samples", type=int, default=2000)
+    opt(p, "--seed", type=_seed_type, default=0)
+    opt(p, "--workers", type=int, default=1)
+
+    unknown = sorted(set(config) - keys)
+    if unknown:
+        raise CliError(f"unknown config key(s): {', '.join(unknown)}")
     return parser
 
 
-def _cmd_phi(ns, config) -> int:
-    value = phi_mod.phi(ns.u)
-    _emit(repr(value) + "\n", ns.out)
+def _cmd_phi(ns) -> int:
+    _emit(repr(phi_mod.phi(ns.u)) + "\n", ns.out)
     return 0
 
 
-def _cmd_psi(ns, config) -> int:
-    dist = parse_distribution(ns.dist)
-    _emit(repr(psi_fn(dist, ns.y)) + "\n", ns.out)
+def _cmd_psi(ns) -> int:
+    _emit(repr(psi_fn(parse_distribution(ns.dist), ns.y)) + "\n", ns.out)
     return 0
 
 
-def _cmd_check_neargamma(ns, config) -> int:
-    dist = parse_distribution(ns.dist)
-    grid = _resolve(ns, config, "grid-size", int, 50_000)
-    report = classify(dist, quantile_grid_size=grid)
+def _cmd_check_neargamma(ns) -> int:
+    report = classify(parse_distribution(ns.dist), quantile_grid_size=ns.grid_size)
     _emit(_json(report), ns.out)
     return 0 if report.verdict != "fail" else 1
 
 
-def _cmd_verify_poincare(ns, config) -> int:
+def _cmd_verify_poincare(ns) -> int:
     tf = poincare.REGISTRY[ns.function]
     if ns.mode == "quad":
-        order = _resolve(ns, config, "order", int, 64 if tf.n_cont <= 2 else 24)
+        order = ns.order if ns.order is not None else (64 if tf.n_cont <= 2 else 24)
         report = poincare.verify_modified_poincare(tf, rule=gaussian.hermite_rule(order))
     else:
-        samples = _resolve(ns, config, "samples", int, 100_000)
-        seed = _resolve(ns, config, "seed", int, 0)
-        report = poincare.verify_modified_poincare(tf, mc={"samples": samples, "seed": seed})
+        report = poincare.verify_modified_poincare(
+            tf, mc={"samples": ns.samples, "seed": ns.seed})
     _emit(_json(report), ns.out)
     return 0 if report.passed else 1
 
 
-def _cmd_averaging(ns, config) -> int:
+def _cmd_averaging(ns) -> int:
     if ns.verify:
         report = cube_averaging.verify_averaging_properties(ns.m)
         _emit(_json(report), ns.out)
@@ -189,20 +192,16 @@ def _cmd_averaging(ns, config) -> int:
     return 0
 
 
-def _default_field(ns, config):
-    d = ns.d
-    n = ns.n
-    if n < 1:
+def _default_field(ns):
+    if ns.n < 1:
         raise CliError("--n must be positive")
-    spec = _resolve(ns, config, "dist", str, "exp:rate=1")
-    seed = _resolve(ns, config, "seed", int, 0)
-    grid = experiments.box_for_target(d, n)
-    field = fpp.field_from_distribution(grid, spec, seed)
-    return field, (n,) + (0,) * (d - 1)
+    grid = experiments.box_for_target(ns.d, ns.n)
+    field = fpp.field_from_distribution(grid, ns.dist, ns.seed)
+    return field, (ns.n,) + (0,) * (ns.d - 1)
 
 
-def _cmd_fpp_run(ns, config) -> int:
-    field, target = _default_field(ns, config)
+def _cmd_fpp_run(ns) -> int:
+    field, target = _default_field(ns)
     origin = (0,) * field.grid.d
     res = fpp.passage_time(field, origin, target)
     payload = {
@@ -215,61 +214,35 @@ def _cmd_fpp_run(ns, config) -> int:
     return 0
 
 
-def _cmd_fpp_response(ns, config) -> int:
-    field, target = _default_field(ns, config)
-    y_max = _resolve(ns, config, "y-max", float, 30.0)
-    points = _resolve(ns, config, "grid-points", int, 61)
-    grid = np.linspace(0.0, y_max, points)
+def _cmd_fpp_response(ns) -> int:
+    field, target = _default_field(ns)
+    grid = np.linspace(0.0, ns.y_max, ns.grid_points)
     curve = fpp.single_edge_response(field, target, ns.edge, grid)
-    lines = ["y,distance"]
-    for y, d in zip(curve.ys, curve.distances):
-        lines.append(f"{y!r},{d!r}")
+    lines = ["y,distance"] + [f"{y!r},{d!r}" for y, d in zip(curve.ys, curve.distances)]
     _emit("\n".join(lines) + "\n", ns.out)
     return 0
 
 
-def _cmd_fpp_sweep(ns, config) -> int:
-    spec = _resolve(ns, config, "dist", str, "exp:rate=1")
-    samples = _resolve(ns, config, "samples", int, 2000)
-    seed = _resolve(ns, config, "seed", int, 0)
-    workers = _resolve(ns, config, "workers", int, 1)
-    ns_text = _resolve(ns, config, "ns", str, "8,16,32,64")
+def _cmd_fpp_sweep(ns) -> int:
     try:
-        n_list = [int(tok) for tok in ns_text.split(",") if tok.strip()]
+        n_list = [int(tok) for tok in ns.ns.split(",") if tok.strip()]
     except ValueError as exc:
-        raise CliError(f"bad --ns list: {ns_text!r}") from exc
-    dist = parse_distribution(spec)
-    result = experiments.sweep(dist, ns.d, n_list, samples, seed, workers=workers)
+        raise CliError(f"bad --ns list: {ns.ns!r}") from exc
+    dist = parse_distribution(ns.dist)
+    result = experiments.sweep(dist, ns.d, n_list, ns.samples, ns.seed, workers=ns.workers)
     _emit(result.to_csv(), ns.out)
     return 0
 
 
-_HANDLERS = {
-    "phi": _cmd_phi,
-    "psi": _cmd_psi,
-    "check-neargamma": _cmd_check_neargamma,
-    "verify-poincare": _cmd_verify_poincare,
-    "averaging": _cmd_averaging,
-}
-
-
 def dispatch(argv) -> int:
-    parser = _build_parser()
+    pre = argparse.ArgumentParser(prog="fppvar", add_help=False)
+    pre.add_argument("--config")
     try:
-        ns = parser.parse_args(argv)
+        path = pre.parse_known_args(argv)[0].config
+        ns = _build_parser(_load_config(path) if path else {}).parse_args(argv)
+        return ns.handler(ns)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        config = _load_config(ns.config) if ns.config else {}
-        if ns.command == "fpp":
-            handler = {
-                "run": _cmd_fpp_run,
-                "response": _cmd_fpp_response,
-                "sweep": _cmd_fpp_sweep,
-            }[ns.fpp_command]
-        else:
-            handler = _HANDLERS[ns.command]
-        return handler(ns, config)
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,7 +18,7 @@ computation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -341,19 +341,8 @@ def classify(dist: EdgeDistribution, quantile_grid_size: int = 50_000) -> NearGa
     """
     suff = check_near_gamma_sufficient(dist)
     direct = check_near_gamma_direct(dist, quantile_grid_size)
-    rep = NearGammaReport(
-        distribution=dist.name,
-        direct_A_hat=direct.direct_A_hat,
-        direct_epsilon_hat=direct.direct_epsilon_hat,
-        direct_pass=direct.direct_pass,
-        sufficient_alpha_ok=suff.sufficient_alpha_ok,
-        sufficient_beta_or_tail_ok=suff.sufficient_beta_or_tail_ok,
-        tail_constants=suff.tail_constants,
-    )
-    if suff.verdict == "sufficient-conditions-pass":
-        rep.verdict = "sufficient-conditions-pass"
-    elif direct.direct_pass:
-        rep.verdict = "direct-evidence-only"
-    else:
-        rep.verdict = "fail"
-    return rep
+    passed = suff.verdict == "sufficient-conditions-pass"
+    return replace(direct, sufficient_alpha_ok=suff.sufficient_alpha_ok,
+                   sufficient_beta_or_tail_ok=suff.sufficient_beta_or_tail_ok,
+                   tail_constants=suff.tail_constants,
+                   verdict=suff.verdict if passed else direct.verdict)

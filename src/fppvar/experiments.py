@@ -137,6 +137,8 @@ def estimate_variance(dist: EdgeDistribution, d: int, n: int, samples: int,
         raise ValueError("dimension must be >= 2")
     if not (dist.std() > 0.0):
         raise ValueError("degenerate edge distribution")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
 
     vals = _replicate_values(dist, d, n, samples, seed, workers)
     mean = float(np.mean(vals))
@@ -153,6 +155,8 @@ def sweep(dist: EdgeDistribution, d: int, n_list, samples: int, seed: int,
           workers: int = 1) -> SweepResult:
     """Variance estimates for each n in an increasing list of distances."""
     ns = list(n_list)
+    if not ns:
+        raise ValueError("n_list must not be empty")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n_list must be strictly increasing")
     rows = tuple(estimate_variance(dist, d, n, samples, seed, workers) for n in ns)

@@ -145,6 +145,15 @@ class TestFpp:
                            "--samples", "120", "--seed", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("flags", [("--ns", ""), ("--workers", "0"),
+                                       ("--workers", "-3")], ids=["empty-ns", "0", "-3"])
+    def test_empty_or_invalid_sweep_exits_2(self, capsys, flags):
+        code, out, err = run(capsys, "fpp", "sweep", "--ns", "8", "--samples", "120",
+                             *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
 
 class TestConfigAndUsage:
     def test_unknown_subcommand(self, capsys):
@@ -175,16 +184,50 @@ class TestConfigAndUsage:
     def test_missing_config_file(self, capsys):
         code, _, err = run(capsys, "--config", "/nonexistent/cfg", "phi", "--u", "0.5")
         assert code == 2
+        # a bare --config fails in the pre-parse and still returns, not raises
+        assert run(capsys, "--config")[0] == 2
 
     def test_bad_config_line(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text("samples 120\n")
-        code, _, err = run(capsys, "--config", str(cfg), "phi", "--u", "0.5")
-        assert code == 2
+        # a line without "=", a misspelt key, a value outside --mode's choices
+        for text in ("samples 120\n", "sampels=100\n", "mode=foo\n"):
+            cfg.write_text(text)
+            code, _, err = run(capsys, "--config", str(cfg), "phi", "--u", "0.5")
+            assert code == 2, text
 
-    def test_seed_range(self, capsys):
+    def test_seed_range(self, capsys, tmp_path):
         code, _, _ = run(capsys, "fpp", "run", "--n", "3", "--seed", "-1")
         assert code == 2
         code, _, _ = run(capsys, "fpp", "run", "--n", "3",
                          "--seed", str(2 ** 64))
         assert code == 2
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"seed={2 ** 64}\n")
+        code, _, _ = run(capsys, "--config", str(cfg), "fpp", "run", "--n", "3")
+        assert code == 2
+
+    @pytest.mark.parametrize("text, argv, key, want", [
+        ("d=3\n", ["fpp", "run", "--n", "3"], "source", [0, 0, 0]),
+        ("mode=mc\nsamples=2000\n", ["verify-poincare", "--function", "linear-1d"],
+         "method", "monte-carlo"),
+        ("function=sin-1d\n", ["verify-poincare"], "method", "quadrature"),
+    ], ids=["d", "mode", "function"])
+    def test_config_reaches_every_option(self, capsys, tmp_path, text, argv, key, want):
+        # --d and --mode have argparse defaults and --function is required
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(text)
+        code, out, _ = run(capsys, "--config", str(cfg), *argv)
+        assert code == 0
+        assert json.loads(out)[key] == want
+
+    def test_config_sweep_matches_flags(self, capsys, tmp_path):
+        values = {"dist": "exp:rate=2", "d": "3", "ns": "2", "samples": "100",
+                  "seed": "11", "workers": "2"}
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in values.items()))
+        code_cfg, via_config, _ = run(capsys, "--config", str(cfg), "fpp", "sweep")
+        flags = [tok for k, v in values.items() for tok in (f"--{k}", v)]
+        code_flags, via_flags, _ = run(capsys, "fpp", "sweep", *flags)
+        assert code_cfg == code_flags == 0
+        assert via_config == via_flags
+        assert via_config.split("\n")[1].startswith("2,100,")

@@ -55,6 +55,8 @@ class TestEstimateVariance:
             ex.estimate_variance(DIST, 2, 1, 200, seed=0)
         with pytest.raises(ValueError):
             ex.estimate_variance(DIST, 1, 8, 200, seed=0)
+        with pytest.raises(ValueError):
+            ex.estimate_variance(DIST, 2, 8, 200, seed=0, workers=0)
 
 
 class TestSweep:
@@ -78,6 +80,10 @@ class TestSweep:
             ex.sweep(DIST, 2, [8, 8, 16], 150, seed=0)
         with pytest.raises(ValueError):
             ex.sweep(DIST, 2, [16, 8], 150, seed=0)
+        with pytest.raises(ValueError):
+            ex.sweep(DIST, 2, [], 150, seed=0)
+        with pytest.raises(ValueError):
+            ex.sweep(DIST, 2, [8, 16], 150, seed=0, workers=-3)
 
     def test_csv_identical_across_workers(self):
         a = ex.sweep(DIST, 2, [8, 16], 150, seed=3, workers=1).to_csv()
