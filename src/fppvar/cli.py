@@ -76,15 +76,19 @@ def _build_parser(config: dict[str, str]) -> argparse.ArgumentParser:
     keys = set()
 
     def opt(p, flag, **kw):
-        # argparse converts a string default with the option's type, so a
-        # config value is checked like a flag; it skips choices, so we don't.
+        # argparse converts string defaults of the subcommand that runs only,
+        # so a config value is converted and checked here, for every one.
         key = flag[2:]
         keys.add(key)
         if key in config:
-            if "choices" in kw and config[key] not in kw["choices"]:
-                raise CliError(f"config {key}={config[key]!r}: "
+            val = config[key]
+            if "choices" in kw and val not in kw["choices"]:
+                raise CliError(f"config {key}={val!r}: "
                                f"choose from {', '.join(kw['choices'])}")
-            kw.update(default=config[key], required=False)
+            try:
+                kw.update(default=kw.get("type", str)(val), required=False)
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise CliError(f"config {key}={val!r}: {exc}") from exc
         p.add_argument(flag, **kw)
 
     def command(subs, name, handler, summary):

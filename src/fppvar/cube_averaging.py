@@ -18,15 +18,31 @@ variant violates the gradient property (exhaustively falsified at m = 3).
 The weight-then-lexicographic ``rank``/``unrank`` bijection is kept as the
 canonical cube ordering: g_m is nondecreasing along it, and a one-bit flip
 moves the rank by at most the two adjacent weight-class sizes.
+
+Exhaustive checks enumerate the cube with :func:`cube`, whose row i holds
+the bits of i, so :func:`flip` reads the value at x with bit q flipped from
+row i XOR 2^q instead of evaluating the function again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 from typing import Sequence
 
 import numpy as np
+
+
+def cube(n_bits: int) -> np.ndarray:
+    """All 2^n_bits points of {0,1}^n_bits as float rows; bit q of row i is bit q of i."""
+    ids = np.arange(1 << n_bits, dtype=np.int64)
+    return ((ids[:, None] >> np.arange(n_bits)) & 1).astype(float)
+
+
+def flip(vals: np.ndarray, q: int) -> np.ndarray:
+    """f(x) - f(x with bit q flipped), from vals = f(cube rows) along axis 0."""
+    return vals - vals[np.arange(len(vals)) ^ (1 << q)]
 
 
 def _validate_bits(bits: Sequence[int], length: int) -> list[int]:
@@ -129,13 +145,14 @@ def weight_boundaries(m: int) -> tuple[int, ...]:
 class AveragingFunction:
     """Weight-staircase map from m^2-bit strings onto {0, ..., m}."""
     m: int
-    boundaries: tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("m must be >= 1")
-        if not self.boundaries:
-            object.__setattr__(self, "boundaries", weight_boundaries(self.m))
+
+    @cached_property
+    def boundaries(self) -> tuple[int, ...]:
+        return weight_boundaries(self.m)
 
     @property
     def n_bits(self) -> int:
@@ -145,10 +162,14 @@ class AveragingFunction:
     def total(self) -> int:
         return 1 << self.n_bits
 
-    def value_at_weight(self, w: int) -> int:
-        if not (0 <= w <= self.n_bits):
+    def value_at_weight(self, w):
+        """Number of cut points at or below the weight w; elementwise on arrays,
+        an int for a scalar."""
+        w = np.asarray(w)
+        if ((w < 0) | (w > self.n_bits)).any():
             raise ValueError("weight out of range")
-        return sum(1 for b in self.boundaries if b <= w)
+        levels = np.asarray(self.boundaries).searchsorted(w, side="right")
+        return levels if levels.ndim else int(levels)
 
     def __call__(self, bits: Sequence[int]) -> int:
         vals = _validate_bits(bits, self.n_bits)
@@ -181,22 +202,10 @@ def verify_averaging_properties(m: int) -> AveragingReport:
     if m > 4:
         raise ValueError("exhaustive verification is limited to m <= 4")
     n = m * m
-    total = 1 << n
-    fn = AveragingFunction(m)
-
-    values = np.empty(total, dtype=np.int64)
-    for mask in range(total):
-        values[mask] = fn([(mask >> i) & 1 for i in range(n)])
-
-    gradient_ok = True
-    for q in range(n):
-        flipped = np.arange(total) ^ (1 << q)
-        if np.any(np.abs(values - values[flipped]) > 1):
-            gradient_ok = False
-            break
-
+    values = AveragingFunction(m).value_at_weight(cube(n).sum(axis=1))
+    gradient_ok = all(np.all(np.abs(flip(values, q)) <= 1) for q in range(n))
     counts = np.bincount(values, minlength=m + 1)
-    max_level_prob = float(counts.max()) / total
+    max_level_prob = float(counts.max()) / values.size
     c1 = c1_constant(m)
     return AveragingReport(m=m, max_level_prob=max_level_prob,
                            gradient_ok=gradient_ok, c1_value=c1,

@@ -22,7 +22,6 @@ caller to redraw the field.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -65,21 +64,13 @@ class GridSpec:
         return int(np.prod(self.extents))
 
     @cached_property
-    def _strides(self) -> tuple[int, ...]:
-        strides = [1] * self.d
-        for i in range(self.d - 2, -1, -1):
-            strides[i] = strides[i + 1] * self.extents[i + 1]
-        return tuple(strides)
-
-    @cached_property
-    def _axis_offsets(self) -> tuple[int, ...]:
-        """First edge index of each axis, then the edge count."""
-        per_axis = (self.vertex_count // e * (e - 1) for e in self.extents)
-        return (0, *itertools.accumulate(per_axis))
+    def _index(self) -> np.ndarray:
+        """Row-major vertex index of every box offset, shaped like the box."""
+        return np.arange(self.vertex_count, dtype=np.int64).reshape(self.extents)
 
     @cached_property
     def edge_count(self) -> int:
-        return self._axis_offsets[-1]
+        return sum(self.vertex_count // e * (e - 1) for e in self.extents)
 
     def contains(self, v: Sequence[int]) -> bool:
         return all(l <= c <= h for c, l, h in zip(v, self.lo, self.hi))
@@ -87,31 +78,19 @@ class GridSpec:
     def vertex_index(self, v: Sequence[int]) -> int:
         if not self.contains(v):
             raise ValueError(f"vertex {tuple(v)} outside the box")
-        return sum((c - l) * s for c, l, s in zip(v, self.lo, self._strides))
+        return self._index.item(tuple(c - l for c, l in zip(v, self.lo)))
 
     def vertex_coords(self, idx: int) -> tuple[int, ...]:
-        coords = []
-        for l, s in zip(self.lo, self._strides):
-            coords.append(l + idx // s)
-            idx %= s
-        return tuple(coords)
+        return tuple(l + int(c) for l, c in zip(self.lo, np.unravel_index(idx, self.extents)))
 
     @cached_property
     def _edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Tail and head vertex indices per edge, in edge-index order."""
-        tails = np.empty(self.edge_count, dtype=np.int64)
-        heads = np.empty(self.edge_count, dtype=np.int64)
-        grids = np.meshgrid(*[np.arange(e) for e in self.extents], indexing="ij")
-        flat = np.stack([g.ravel() for g in grids], axis=-1)  # offsets, row-major
-        strides = np.array(self._strides)
-        vidx = flat @ strides
-        for a in range(self.d):
-            mask = flat[:, a] < self.extents[a] - 1
-            t = vidx[mask]
-            off = self._axis_offsets[a]
-            tails[off:off + t.size] = t
-            heads[off:off + t.size] = t + strides[a]
-        return tails, heads
+        """Tail and head vertex indices per edge, in edge-index order: per
+        axis, the index array without its last (tails) or first (heads)
+        layer along that axis, raveled row-major."""
+        axes = range(self.d)
+        return (np.concatenate([np.delete(self._index, -1, a).ravel() for a in axes]),
+                np.concatenate([np.delete(self._index, 0, a).ravel() for a in axes]))
 
     @property
     def edge_tails(self) -> np.ndarray:
@@ -121,18 +100,21 @@ class GridSpec:
     def edge_heads(self) -> np.ndarray:
         return self._edge_arrays[1]
 
+    def _edge_between(self, a: int, b: int) -> int:
+        """Index of the edge joining the adjacent vertices a and b."""
+        indptr, indices, perm = self._csr_template
+        first = indptr[a]
+        return int(perm[first + indices[first:indptr[a + 1]].tolist().index(b)])
+
     def edge_index(self, v: Sequence[int], axis: int) -> int:
         """Index of the positive-direction edge leaving v along axis."""
         if not (0 <= axis < self.d):
             raise ValueError("axis out of range")
         if not self.contains(v) or v[axis] + 1 > self.hi[axis]:
             raise ValueError("edge endpoint outside the box")
-        ext = list(self.extents)
-        ext[axis] -= 1
-        idx = 0
-        for c, l, e in zip(v, self.lo, ext):
-            idx = idx * e + (c - l)
-        return self._axis_offsets[axis] + idx
+        head = list(v)
+        head[axis] += 1
+        return self._edge_between(self.vertex_index(v), self.vertex_index(head))
 
     def edge_endpoints(self, e: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         tails, heads = self._edge_arrays
@@ -237,9 +219,7 @@ def _passage(field: WeightField, u: Sequence[int],
             if pred is None:
                 pred = _csgraph_dijkstra(_csr(field), directed=True, indices=ui,
                                          return_predecessors=True)[1]
-            p = int(pred[cur])
-            e = grid.edge_index(grid.vertex_coords(min(p, cur)),
-                                grid._strides.index(abs(p - cur)))
+            e = grid._edge_between(cur, int(pred[cur]))
         edges.append(e)
         cur = int(tails[e] + heads[e]) - cur
     distance = float(ds[vi])

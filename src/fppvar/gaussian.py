@@ -24,6 +24,13 @@ INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
 
+LEGENDRE_HALF_WIDTH = 13.0  # Gaussian mass beyond is below 1e-37
+COMMUTATION_STEP = 1e-5  # finite-difference step, relative to max(1, |y|)
+HYPERCONTRACTIVITY_TOL = 1e-8
+HEAT_T_MAX = 20.0  # truncation time of the heat-identity integral
+HEAT_PANELS = 40
+HEAT_PANEL_ORDER = 16
+
 
 def _validate_finite(x: np.ndarray, name: str) -> None:
     if not np.all(np.isfinite(x)):
@@ -109,10 +116,6 @@ class QuadratureRule:
     """
     nodes: np.ndarray
     weights: np.ndarray
-    order: int
-
-    def expect(self, f: Callable[[np.ndarray], np.ndarray]) -> float:
-        return float(np.dot(self.weights, np.asarray(f(self.nodes), dtype=float)))
 
 
 def hermite_rule(order: int = 64) -> QuadratureRule:
@@ -120,26 +123,25 @@ def hermite_rule(order: int = 64) -> QuadratureRule:
     if order < 2:
         raise ValueError("order must be >= 2")
     x, w = np.polynomial.hermite.hermgauss(order)
-    return QuadratureRule(nodes=x * SQRT2, weights=w / math.sqrt(math.pi), order=order)
+    return QuadratureRule(nodes=x * SQRT2, weights=w / math.sqrt(math.pi))
 
 
-def legendre_gaussian_rule(panels: int = 512, order: int = 8,
-                           half_width: float = 13.0) -> QuadratureRule:
+def legendre_gaussian_rule(panels: int = 512, order: int = 8) -> QuadratureRule:
     """Composite Gauss-Legendre rule against the Gaussian weight.
 
     Unlike Gauss-Hermite, composite panels keep converging on merely
     piecewise-smooth integrands (clipped functions, absolute values); only
-    the panel containing a kink contributes error.  Mass beyond +-13 is
-    below 1e-37 and is dropped.
+    the panel containing a kink contributes error.  Mass beyond
+    +-``LEGENDRE_HALF_WIDTH`` is dropped.
     """
     gl_x, gl_w = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(-half_width, half_width, panels + 1)
+    edges = np.linspace(-LEGENDRE_HALF_WIDTH, LEGENDRE_HALF_WIDTH, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * np.diff(edges)
     nodes = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
     weights = (half[:, None] * gl_w[None, :]).ravel() * (
         INV_SQRT_2PI * np.exp(-0.5 * nodes ** 2))
-    return QuadratureRule(nodes=nodes, weights=weights, order=panels * order)
+    return QuadratureRule(nodes=nodes, weights=weights)
 
 
 def ou_apply(f: Callable, t: float, y, rule: QuadratureRule):
@@ -161,18 +163,17 @@ def ou_apply(f: Callable, t: float, y, rule: QuadratureRule):
 
 
 def check_commutation(f: Callable, fprime: Callable, t: float,
-                      rule: QuadratureRule, grid: Sequence[float],
-                      step_scale: float = 1e-5) -> float:
+                      rule: QuadratureRule, grid: Sequence[float]) -> float:
     """Max discrepancy between d/dy of the smoothed f and e^{-t} * smoothed f'.
 
     The derivative side is a central finite difference with step
-    ``step_scale * max(1, |y|)``; the other side is exact smoothing of the
+    ``COMMUTATION_STEP * max(1, |y|)``; the other side is exact smoothing of the
     supplied analytic derivative.
     """
     ys = np.asarray(grid, dtype=float)
     if ys.size == 0:
         return 0.0
-    h = step_scale * np.maximum(1.0, np.abs(ys))
+    h = COMMUTATION_STEP * np.maximum(1.0, np.abs(ys))
     fd = (ou_apply(f, t, ys + h, rule) - ou_apply(f, t, ys - h, rule)) / (2.0 * h)
     rhs = math.exp(-t) * ou_apply(fprime, t, ys, rule)
     return float(np.max(np.abs(fd - rhs)))
@@ -185,8 +186,8 @@ class HypercontractivityReport:
     holds: bool
 
 
-def check_hypercontractivity(f: Callable, t: float, rule: QuadratureRule,
-                             tol: float = 1e-8) -> HypercontractivityReport:
+def check_hypercontractivity(f: Callable, t: float,
+                             rule: QuadratureRule) -> HypercontractivityReport:
     """Check ||P_t f||_2 <= ||f||_{q*} with q*(t) = 1 + e^{-2t}.
 
     Constants and log-linear functions saturate the bound, so ``holds``
@@ -197,7 +198,7 @@ def check_hypercontractivity(f: Callable, t: float, rule: QuadratureRule,
     lhs = math.sqrt(float(np.dot(rule.weights, smoothed ** 2)))
     vals = np.abs(np.asarray(f(rule.nodes), dtype=float))
     rhs = float(np.dot(rule.weights, vals ** q_star)) ** (1.0 / q_star)
-    return HypercontractivityReport(lhs=lhs, rhs=rhs, holds=lhs <= rhs + tol)
+    return HypercontractivityReport(lhs=lhs, rhs=rhs, holds=lhs <= rhs + HYPERCONTRACTIVITY_TOL)
 
 
 @dataclass(frozen=True)
@@ -207,21 +208,21 @@ class VarianceHeatReport:
     discrepancy: float
 
 
-def variance_heat_identity(f: Callable, fprime: Callable, rule: QuadratureRule,
-                           t_max: float = 20.0, panels: int = 40,
-                           panel_order: int = 16) -> VarianceHeatReport:
+def variance_heat_identity(f: Callable, fprime: Callable,
+                           rule: QuadratureRule) -> VarianceHeatReport:
     """Check Var(f) = 2 * int_0^inf E[(d/dy P_t f)^2] dt  (one dimension).
 
-    The time integral is truncated at ``t_max`` with composite Gauss-Legendre
-    panels; the remainder is bounded by 2 e^{-2 t_max} ||f'||_2^2 (the
-    integrand decays like e^{-2t}) and added to the integral side.
+    The time integral is truncated at ``HEAT_T_MAX`` with composite
+    Gauss-Legendre panels; the remainder is bounded by
+    2 e^{-2 HEAT_T_MAX} ||f'||_2^2 (the integrand decays like e^{-2t}) and
+    added to the integral side.
     """
     vals = np.asarray(f(rule.nodes), dtype=float)
     mean = float(np.dot(rule.weights, vals))
     var = float(np.dot(rule.weights, vals ** 2)) - mean * mean
 
-    gl_x, gl_w = np.polynomial.legendre.leggauss(panel_order)
-    edges = np.linspace(0.0, t_max, panels + 1)
+    gl_x, gl_w = np.polynomial.legendre.leggauss(HEAT_PANEL_ORDER)
+    edges = np.linspace(0.0, HEAT_T_MAX, HEAT_PANELS + 1)
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         ts = 0.5 * (b - a) * gl_x + 0.5 * (a + b)
@@ -234,7 +235,7 @@ def variance_heat_identity(f: Callable, fprime: Callable, rule: QuadratureRule,
 
     fp = np.asarray(fprime(rule.nodes), dtype=float)
     l2sq_prime = float(np.dot(rule.weights, fp ** 2))
-    tail = 2.0 * math.exp(-2.0 * t_max) * l2sq_prime
+    tail = 2.0 * math.exp(-2.0 * HEAT_T_MAX) * l2sq_prime
 
     side = integral + tail
     return VarianceHeatReport(var=var, integral_side=side, discrepancy=abs(var - side))

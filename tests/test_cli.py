@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -140,6 +141,15 @@ class TestFpp:
         assert text.startswith("n,samples,mean,var,se_var,mean_over_n,"
                                "var_over_n,var_logn_over_n,seed")
 
+    def test_sweep_csv_golden(self, capsys):
+        # The sweep CSV is a pure function of its arguments: these bytes
+        # must not move when the sampler, the box or the solver is rewritten.
+        code, out, _ = run(capsys, "fpp", "sweep", "--ns", "8,16", "--samples", "100",
+                           "--seed", "1")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "1083b0ebbb9c8b3decdf7d94a041f48d3b1475dcc11731d2123b8d7111bd1ef3")
+
     def test_bad_ns(self, capsys):
         code, _, err = run(capsys, "fpp", "sweep", "--ns", "8,banana",
                            "--samples", "120", "--seed", "0")
@@ -189,8 +199,10 @@ class TestConfigAndUsage:
 
     def test_bad_config_line(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.txt"
-        # a line without "=", a misspelt key, a value outside --mode's choices
-        for text in ("samples 120\n", "sampels=100\n", "mode=foo\n"):
+        # a line without "=", a misspelt key, a value outside --mode's choices,
+        # values that do not convert for options of another subcommand
+        for text in ("samples 120\n", "sampels=100\n", "mode=foo\n",
+                     "seed=abc\n", "grid-size=abc\n"):
             cfg.write_text(text)
             code, _, err = run(capsys, "--config", str(cfg), "phi", "--u", "0.5")
             assert code == 2, text

@@ -92,6 +92,30 @@ class TestAveragingFunction:
         # weight staircase: masses 5/16, 6/16, 5/16
         assert rep.max_level_prob == pytest.approx(6.0 / 16.0)
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_exhaustive_matches_per_string_loop(self, m):
+        # One g_m evaluation per string, counting cut points by hand, then
+        # the flips by index.
+        n, total = m * m, 1 << (m * m)
+        bounds = ca.weight_boundaries(m)
+        values = np.array([sum(1 for b in bounds if b <= bin(mask).count("1"))
+                           for mask in range(total)])
+        ids = np.arange(total)
+        gradient_ok = all(np.all(np.abs(values - values[ids ^ (1 << q)]) <= 1)
+                          for q in range(n))
+        rep = ca.verify_averaging_properties(m)
+        assert rep.gradient_ok == gradient_ok
+        assert rep.max_level_prob == float(np.bincount(values).max()) / total
+
+    def test_value_at_weight_elementwise(self):
+        fn = ca.AveragingFunction(4)
+        want = [sum(1 for b in fn.boundaries if b <= w) for w in range(17)]
+        assert fn.value_at_weight(np.arange(17)).tolist() == want
+        assert [fn.value_at_weight(w) for w in range(17)] == want
+        assert type(fn.value_at_weight(9)) is int
+        with pytest.raises(ValueError):
+            fn.value_at_weight(np.array([3, 17]))
+
     def test_exhaustive_guard(self):
         with pytest.raises(ValueError):
             ca.verify_averaging_properties(5)
@@ -129,6 +153,29 @@ class TestAveragingFunction:
                 q = rng.randrange(n)
                 bits[q] ^= 1
                 assert abs(fn(bits) - v0) <= 1
+
+
+class TestCubeAndFlip:
+    @pytest.mark.parametrize("n", [0, 1, 3, 6])
+    def test_rows_are_bit_lists(self, n):
+        rows = ca.cube(n)
+        assert rows.shape == (1 << n, n)
+        assert rows.tolist() == [[(i >> q) & 1 for q in range(n)] for i in range(1 << n)]
+
+    def test_flip_matches_reevaluation(self):
+        n = 5
+        w = np.arange(1.0, n + 1)
+
+        def f(x):  # exact in floats, one column per output
+            s = x @ w
+            return np.stack([s, s * s, x[:, 0] * x[:, -1] - x[:, 2]], axis=1)
+
+        x = ca.cube(n)
+        vals = f(x)
+        for q in range(n):
+            flipped = x.copy()
+            flipped[:, q] = 1.0 - flipped[:, q]
+            assert np.array_equal(ca.flip(vals, q), vals - f(flipped))
 
 
 class TestRandomVertex:

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +10,14 @@ from scipy.sparse.csgraph import dijkstra
 from fppvar import fpp
 from fppvar.edge_distributions import exponential, parse_distribution, sample
 from fppvar.experiments import box_for_target
+
+
+def row_major(v, lo, extents) -> int:
+    """Row-major index of v over the box with lower corner lo and these extents."""
+    idx = 0
+    for c, l, e in zip(v, lo, extents):
+        idx = idx * e + (c - l)
+    return idx
 
 
 def adjacency(grid: fpp.GridSpec) -> list[list[tuple[int, int]]]:
@@ -89,6 +99,25 @@ class TestGridSpec:
             seen.add(e)
         assert len(seen) == g.edge_count
 
+    def test_edge_order_oracle(self):
+        # The documented order: axis by axis, v row-major over the box
+        # shortened by one along that axis, edge (v, v + e_axis).
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            d = int(rng.integers(2, 5))
+            lo = tuple(int(c) for c in rng.integers(-5, 0, d))
+            hi = tuple(l + int(rng.integers(1, 4)) for l in lo)
+            g = fpp.GridSpec(lo=lo, hi=hi)
+            want = []
+            for axis in range(d):
+                ranges = [range(l, h + (a != axis)) for a, (l, h) in enumerate(zip(lo, hi))]
+                for v in itertools.product(*ranges):
+                    head = list(v)
+                    head[axis] += 1
+                    assert g.edge_index(v, axis) == len(want)
+                    want.append((row_major(v, lo, g.extents), row_major(head, lo, g.extents)))
+            assert list(zip(g.edge_tails.tolist(), g.edge_heads.tolist())) == want
+
     def test_out_of_box(self):
         g = fpp.GridSpec(lo=(0, 0), hi=(2, 2))
         with pytest.raises(ValueError):
@@ -130,6 +159,17 @@ class TestWeightField:
             w[pos] = -0.0
             fpp.WeightField(grid=g, weights=w)
         fpp.WeightField(grid=g, weights=np.full(g.edge_count, -0.0))
+
+    @pytest.mark.parametrize("lo, hi, digest", [
+        ((0, -3), (9, 4), "7e38c22d112bbf545f655b984f0c8d47b66efb8e720ff6e6340e873376b43de6"),
+        ((-2, 0, -1), (3, 4, 2),
+         "e3b43995b7f3eef98b2b7a5b4473718956f3b14fb97cae16a122b758709f8eff"),
+    ], ids=["d2", "d3"])
+    def test_weight_bytes_golden(self, lo, hi, digest):
+        # A weight field is a pure function of (spec, seed): these bytes must
+        # not move when the sampler or the box indexing is rewritten.
+        field = fpp.field_from_distribution(fpp.GridSpec(lo=lo, hi=hi), "exp:rate=1", 11)
+        assert hashlib.sha256(field.weights.tobytes()).hexdigest() == digest
 
     def test_sampling_reproducible(self):
         g = fpp.GridSpec(lo=(0, 0), hi=(3, 3))
@@ -246,21 +286,26 @@ class TestPassageTime:
 
     def test_zero_weights_brute_force_3x3(self):
         grid = fpp.GridSpec(lo=(0, 0), hi=(2, 2))
-        paths = enumerate_simple_paths(grid, (0, 0), (2, 2))
         rng = np.random.default_rng(5)
         fields = [np.zeros(grid.edge_count)]
         fields += [rng.integers(0, 3, grid.edge_count).astype(float) for _ in range(50)]
-        for w in fields:
-            field = fpp.WeightField(grid=grid, weights=w)
-            res = fpp.passage_time(field, (0, 0), (2, 2))
-            assert res.distance == min(sum(w[e] for e in p) for p in paths)
-            cur = grid.vertex_index((0, 0))
-            for e in res.geodesic_edges:
-                t, h = int(grid.edge_tails[e]), int(grid.edge_heads[e])
-                assert cur in (t, h)
-                cur = h if cur == t else t
-            assert cur == grid.vertex_index((2, 2))
-            assert sum(w[e] for e in res.geodesic_edges) == res.distance
+        cases = [(grid, (0, 0), (2, 2), fields)]
+        # All zero in d=3: every step of the walk follows the predecessor tree.
+        grid3 = fpp.GridSpec(lo=(0, 0, 0), hi=(1, 2, 1))
+        cases.append((grid3, (0, 0, 0), (1, 2, 1), [np.zeros(grid3.edge_count)]))
+        for grid, src, dst, fields in cases:
+            paths = enumerate_simple_paths(grid, src, dst)
+            for w in fields:
+                field = fpp.WeightField(grid=grid, weights=w)
+                res = fpp.passage_time(field, src, dst)
+                assert res.distance == min(sum(w[e] for e in p) for p in paths)
+                cur = grid.vertex_index(src)
+                for e in res.geodesic_edges:
+                    t, h = int(grid.edge_tails[e]), int(grid.edge_heads[e])
+                    assert cur in (t, h)
+                    cur = h if cur == t else t
+                assert cur == grid.vertex_index(dst)
+                assert sum(w[e] for e in res.geodesic_edges) == res.distance
 
     def test_out_of_box_rejected(self):
         g = fpp.GridSpec(lo=(0, 0), hi=(2, 2))
@@ -409,19 +454,22 @@ class TestBoxBias:
         g1 = box_for_target(2, n)
         pad2 = 2 * max(math.ceil(n / 2), 16)
         g2 = fpp.GridSpec(lo=(-pad2, -pad2), hi=(n + pad2, pad2))
+        # restrict the big-box field to the small box pattern is not
+        # meaningful; instead rerun the small field embedded in the big box,
+        # whose edge e of the small box is big-box edge embed[e]
+        embed = []
+        for e in range(g1.edge_count):
+            a, b = g1.edge_endpoints(e)
+            axis = 0 if a[0] != b[0] else 1
+            embed.append(g2.edge_index(a, axis))
         changed = 0
         dist = parse_distribution("exp:rate=1")
         for seed in range(200):
             f1 = fpp.field_from_distribution(g1, dist, seed)
             f2 = fpp.field_from_distribution(g2, dist, seed + 10_000)
             d1 = fpp.distances_from(f1, (0, 0))[g1.vertex_index((n, 0))]
-            # restrict the big-box field to the small box pattern is not
-            # meaningful; instead rerun the small field embedded in the big box
             w2 = f2.weights.copy()
-            for e in range(g1.edge_count):
-                a, b = g1.edge_endpoints(e)
-                axis = 0 if a[0] != b[0] else 1
-                w2[g2.edge_index(a, axis)] = f1.weights[e]
+            w2[embed] = f1.weights
             emb = fpp.WeightField(grid=g2, weights=w2)
             d2 = fpp.distances_from(emb, (0, 0))[g2.vertex_index((n, 0))]
             if abs(d1 - d2) > 1e-9:

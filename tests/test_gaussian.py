@@ -164,9 +164,9 @@ class TestQuadratureRule:
     def test_invariants(self):
         assert abs(RULE.weights.sum() - 1.0) <= 1e-12
         assert np.all(np.diff(RULE.nodes) > 0)
-        assert RULE.expect(lambda y: np.ones_like(y)) == pytest.approx(1.0, abs=1e-12)
-        assert RULE.expect(lambda y: y) == pytest.approx(0.0, abs=1e-10)
-        assert RULE.expect(lambda y: y * y - 1.0) == pytest.approx(0.0, abs=1e-10)
+        assert RULE.weights @ np.ones_like(RULE.nodes) == pytest.approx(1.0, abs=1e-12)
+        assert RULE.weights @ RULE.nodes == pytest.approx(0.0, abs=1e-10)
+        assert RULE.weights @ (RULE.nodes ** 2 - 1.0) == pytest.approx(0.0, abs=1e-10)
 
     def test_order_validation(self):
         with pytest.raises(ValueError):
