@@ -27,7 +27,7 @@ row i XOR 2^q instead of evaluating the function again.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from math import comb
 from typing import Sequence
 
@@ -223,6 +223,11 @@ def level_probabilities(m: int) -> list[float]:
     return [c / fn.total for c in counts]
 
 
+@cache
+def _averaging_function(m: int) -> AveragingFunction:
+    return AveragingFunction(m)
+
+
 def random_vertex(a, d: int) -> tuple[int, ...]:
     """Coordinate-wise averaging of a d x m^2 bit matrix into {0..m}^d."""
     mat = np.asarray(a)
@@ -232,5 +237,8 @@ def random_vertex(a, d: int) -> tuple[int, ...]:
     m = int(round(n ** 0.5))
     if m * m != n:
         raise ValueError("row length must be a perfect square m^2")
-    fn = AveragingFunction(m)
-    return tuple(fn(row) for row in mat)
+    # int() per entry, as the scalar evaluation reads a bit vector
+    bits = mat.astype(int)
+    if np.any((bits != 0) & (bits != 1)):
+        raise ValueError("bit vector entries must be 0 or 1")
+    return tuple(_averaging_function(m).value_at_weight(bits.sum(axis=1)).tolist())

@@ -189,15 +189,20 @@ def psi(dist: EdgeDistribution, y):
     return float(out[0]) if scalar else out
 
 
+def _uniforms(seed, n: int) -> np.ndarray:
+    """The n levels in [2^-52, 1 - 2^-53] that :func:`sample` maps through
+    the quantile; a pure function of (seed, n)."""
+    u = np.random.default_rng(seed).random(n)
+    # u == 0 occurs with probability 2^-53 and would land on the support endpoint
+    np.clip(u, 2.220446049250313e-16, None, out=u)
+    return u
+
+
 def sample(dist: EdgeDistribution, seed, n: int) -> np.ndarray:
     """Deterministic inverse-cdf sampling; ``seed`` may be an int or SeedSequence."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    u = rng.random(n)
-    # u == 0 occurs with probability 2^-53 and would land on the support endpoint
-    np.clip(u, 2.220446049250313e-16, None, out=u)
-    return dist._quantile(u)
+    return dist._quantile(_uniforms(seed, n))
 
 
 @dataclass

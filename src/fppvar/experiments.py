@@ -8,18 +8,50 @@ Reproducibility contract: replicate r of row n draws its weight field from
 ``SeedSequence((master_seed, n, r))``, and aggregation runs over the replicate
 values ordered by index, so serial and multi-worker runs produce identical
 bytes in the CSV.
+
+Pruned replicate.  For most gamma, chi2 and beta laws, scipy's quantile
+costs several solves of the box per field, yet only about 1 % of the edges
+can lie on a near-optimal path.  Such a row draws the same levels u as
+``sample`` and computes exact quantiles Q(u) only where they can matter:
+
+1. L_e = tab[floor(u_e K)] with tab[k] = Q(k/K), K = TABLE_SIZE a power of
+   two (so the floor is exact) and tab[0] = lo; L_e <= Q(u_e) by
+   monotonicity alone.
+2. Solve under L from the source with predecessors, take exact weights on
+   that tree path, and set T_ub = (1 + MARGIN) * their sum, so T_ub >= T.
+3. Solve under L from the target with ``limit=T_ub``, and keep edge (t, h)
+   when min(d0[t] + dv[h], d0[h] + dv[t]) + L_e <= T_ub.
+4. Take exact weights on the kept edges, ``inf`` on the rest, and solve
+   once more with ``limit=T_ub``; its label at the target is the value.
+
+Why the value is bit-identical to the full field's: csgraph's label at a
+vertex is the minimum, over paths, of the left-fold float sum of the
+path's weights (Dijkstra settles labels in order, and float addition of
+nonnegative numbers is monotone).  Monotone rounding also gives
+d0[t] <= fold of Q along any path to t, and likewise for dv, so every edge
+of the float-optimal path P* has a keep sum within (1 + 2 V eps) of T,
+while T is within (1 + V eps) of the exact sum behind T_ub (V vertices,
+eps = 2^-53; sums in the subnormal range are exact).  MARGIN = 1e-9 dwarfs
+these ~1e-12, so P* survives pruning and the minimum fold over the kept
+paths is T itself.  Exact weights are checked finite and at least L (so
+nonnegative), as ``WeightField`` checks a full field.
+
+A row takes the pruned path when ``_init_worker`` finds a valid table and
+the quantile time per field exceeds BREAK_EVEN solve times, both timed
+there; which path runs never changes a byte of the output.
 """
 
 from __future__ import annotations
 
 import math
 import multiprocessing as mp
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import fpp
-from .edge_distributions import EdgeDistribution, sample
+from .edge_distributions import EdgeDistribution, _uniforms, sample
 
 CSV_HEADER = "n,samples,mean,var,se_var,mean_over_n,var_over_n,var_logn_over_n,seed"
 
@@ -75,23 +107,106 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
 
+# Levels of the lower-bound quantile table: a power of two, so floor(u * K)
+# is exact.
+TABLE_SIZE = 4096
+# The pruned replicate pays when the quantiles of a field cost more than this
+# many solves of the box.  Measured break-even: about 1.1 at n=64 and 1.3 at
+# n=16 (BENCH_8.json); the margin above it keeps a law near the break-even
+# from running slower than the plain path.
+BREAK_EVEN = 1.5
+# Relative margin on the upper bound T_ub (module docstring).
+MARGIN = 1e-9
+
 # Per-process context for replicate evaluation; set by the pool initializer
 # (inherited state must not leak between configurations, hence keyed setup).
 _CTX: dict = {}
 
 
+def _pruned_pays(draw_s: float, solve_s: float, edges: int) -> bool:
+    """Whether a row takes the pruned path, from the seconds per quantile
+    and per solve of its box with ``edges`` edges."""
+    return draw_s * edges > BREAK_EVEN * solve_s
+
+
+def _lower_table(dist: EdgeDistribution) -> tuple[np.ndarray | None, float]:
+    """(tab, seconds per quantile): tab[k] = Q(k / K), with tab[0] = dist.lo.
+
+    tab is None unless it is nonnegative and non-decreasing, and Q at the
+    largest level a draw can take is finite and at least tab[-1], so that
+    every weight of the row is finite; otherwise the plain path runs and
+    validates each field.  The seconds are the fastest of 8 blocks, which
+    keeps a busy host from faking a slow quantile.
+    """
+    blocks, draw_s = [], math.inf
+    for levels in np.split(np.arange(TABLE_SIZE) / TABLE_SIZE, 8):
+        start = time.perf_counter()
+        blocks.append(dist._quantile(levels))
+        draw_s = min(draw_s, (time.perf_counter() - start) / levels.size)
+    tab = np.concatenate(blocks)
+    tab[0] = dist.lo
+    top = dist._quantile(np.array([1.0 - 2.0 ** -53]))[0]
+    ok = tab[0] >= 0.0 and np.all(np.diff(tab) >= 0.0) and tab[-1] <= top < math.inf
+    return (tab if ok else None), draw_s
+
+
 def _init_worker(dist: EdgeDistribution, d: int, n: int, seed: int) -> None:
     grid = box_for_target(d, n)
-    _CTX.update(dist=dist, grid=grid, n=n, seed=seed, src=(0,) * d,
-                dst=grid.vertex_index((n,) + (0,) * (d - 1)))
+    src = grid.vertex_index((0,) * d)
+    _CTX.update(dist=dist, grid=grid, n=n, seed=seed, src=(0,) * d, src_index=src,
+                dst=grid.vertex_index((n,) + (0,) * (d - 1)), tab=None)
     # Fill the grid caches every replicate reads here, not in the first one.
     grid.edge_count
     grid._csr_template
+    grid._csr_matrix
+    tab, draw_s = _lower_table(dist)
+    if tab is None:
+        return
+    # Time the box on a field drawn from the table; fastest of three solves.
+    probe = tab[np.random.default_rng(0).integers(TABLE_SIZE, size=grid.edge_count)]
+    solve_s = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        fpp._solve(grid, probe, src)
+        solve_s = min(solve_s, time.perf_counter() - start)
+    if _pruned_pays(draw_s, solve_s, grid.edge_count):
+        _CTX["tab"] = tab
+
+
+def _exact(dist: EdgeDistribution, u: np.ndarray, lower: np.ndarray,
+           edges: np.ndarray) -> np.ndarray:
+    """Exact weights of the given edges, checked finite and >= their lower
+    bounds (so nonnegative), as WeightField checks a full field."""
+    q = dist._quantile(u[edges])
+    if not (np.isfinite(q).all() and np.all(q >= lower[edges])):
+        raise ValueError("weights must be finite and nonnegative")
+    return q
+
+
+def _pruned_value(ss) -> float:
+    """The replicate value with exact quantiles only on the edges that can
+    lie on a geodesic; equal to the plain value (module docstring)."""
+    grid, dist, tab = _CTX["grid"], _CTX["dist"], _CTX["tab"]
+    src, dst = _CTX["src_index"], _CTX["dst"]
+    u = _uniforms(ss, grid.edge_count)
+    lower = tab[(u * TABLE_SIZE).astype(np.intp)]
+    d0, pred = fpp._solve(grid, lower, src, return_predecessors=True)
+    path = fpp._tree_edges(grid, pred, src, dst)
+    t_ub = float(_exact(dist, u, lower, path).sum()) * (1.0 + MARGIN)
+    dv = fpp._solve(grid, lower, dst, limit=t_ub)
+    tails, heads = grid._edge_arrays
+    through = np.minimum(d0[tails] + dv[heads], d0[heads] + dv[tails]) + lower
+    keep = np.flatnonzero(through <= t_ub)
+    weights = np.full(grid.edge_count, np.inf)
+    weights[keep] = _exact(dist, u, lower, keep)
+    return float(fpp._solve(grid, weights, src, limit=t_ub)[dst])
 
 
 def _replicate_value(r: int) -> float:
     grid = _CTX["grid"]
     ss = np.random.SeedSequence((_CTX["seed"], _CTX["n"], r))
+    if _CTX["tab"] is not None:
+        return _pruned_value(ss)
     weights = sample(_CTX["dist"], ss, grid.edge_count)
     field = fpp.WeightField(grid=grid, weights=weights)
     return float(fpp.distances_from(field, _CTX["src"])[_CTX["dst"]])

@@ -100,11 +100,21 @@ class GridSpec:
     def edge_heads(self) -> np.ndarray:
         return self._edge_arrays[1]
 
+    def _edges_between(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Indices of the edges joining the adjacent vertices a[i] and b[i]."""
+        indptr, indices, perm = self._csr_template
+        # A row holds at most 2d neighbours: look at that many slots from the
+        # row start, clipped to the row's last slot.
+        slots = np.minimum(indptr[a][:, None] + np.arange(2 * self.d),
+                           indptr[a + 1][:, None] - 1)
+        hit = indices[slots] == b[:, None]
+        if not hit.any(axis=1).all():
+            raise ValueError("vertices are not adjacent")
+        return perm[slots[np.arange(len(slots)), hit.argmax(axis=1)]]
+
     def _edge_between(self, a: int, b: int) -> int:
         """Index of the edge joining the adjacent vertices a and b."""
-        indptr, indices, perm = self._csr_template
-        first = indptr[a]
-        return int(perm[first + indices[first:indptr[a + 1]].tolist().index(b)])
+        return int(self._edges_between(np.array([a]), np.array([b]))[0])
 
     def edge_index(self, v: Sequence[int], axis: int) -> int:
         """Index of the positive-direction edge leaving v along axis."""
@@ -145,6 +155,14 @@ class GridSpec:
         np.cumsum(np.bincount(rows, minlength=self.vertex_count), out=indptr[1:])
         return indptr, cols[slots].astype(np.int32), slots % self.edge_count
 
+    @cached_property
+    def _csr_matrix(self) -> csr_matrix:
+        """The template as a matrix whose data :func:`_solve` refills per
+        solve, so the constructor's checks run once per grid."""
+        indptr, indices, _ = self._csr_template
+        return csr_matrix((np.zeros(indices.size), indices, indptr),
+                          shape=(self.vertex_count, self.vertex_count))
+
 
 @dataclass
 class WeightField:
@@ -180,17 +198,33 @@ class PassageResult:
     target: tuple[int, ...]
 
 
-def _csr(field: WeightField) -> csr_matrix:
-    grid = field.grid
-    indptr, indices, perm = grid._csr_template
-    return csr_matrix((field.weights[perm], indices, indptr),
-                      shape=(grid.vertex_count, grid.vertex_count))
+def _solve(grid: GridSpec, weights: np.ndarray, source: int, **options):
+    """csgraph Dijkstra from vertex index ``source`` under edge ``weights``
+    (unchecked; ``inf`` is an absent edge), with csgraph's ``limit`` and
+    ``return_predecessors`` passed through.  Every solve in the package runs
+    here, on the grid's one matrix, so solves must not interleave."""
+    mat = grid._csr_matrix
+    # perm is in range; mode="raise" would gather through a buffer copy.
+    np.take(weights, grid._csr_template[2], out=mat.data, mode="wrap")
+    return _csgraph_dijkstra(mat, directed=True, indices=source, **options)
+
+
+def _tree_edges(grid: GridSpec, pred: np.ndarray, source: int, target: int) -> np.ndarray:
+    """Edges of csgraph's predecessor tree path, from target back to source."""
+    chain = [target]
+    for _ in range(grid.vertex_count):
+        if chain[-1] == source:
+            break
+        chain.append(int(pred[chain[-1]]))
+    else:
+        raise RuntimeError("predecessor walk did not reach the source")
+    chain = np.array(chain)
+    return grid._edges_between(chain[:-1], chain[1:])
 
 
 def distances_from(field: WeightField, u: Sequence[int]) -> np.ndarray:
     """All shortest-path distances (csgraph labels) from u."""
-    return _csgraph_dijkstra(_csr(field), directed=True,
-                             indices=field.grid.vertex_index(u))
+    return _solve(field.grid, field.weights, field.grid.vertex_index(u))
 
 
 def _passage(field: WeightField, u: Sequence[int],
@@ -209,19 +243,23 @@ def _passage(field: WeightField, u: Sequence[int],
         tight = np.flatnonzero((ds[far] + w == ds[near]) & (ds[far] < ds[near]))
         np.minimum.at(into, near[tight], tight)
     # Labels never increase along the walk and the fallback steps follow a
-    # tree, so the walk cannot cycle.
+    # tree, so the walk cannot cycle; the step bound turns a wrong edge into
+    # an error instead of an endless loop.
     pred = None
     edges = []
     cur = vi
-    while cur != ui:
+    for _ in range(grid.vertex_count):
+        if cur == ui:
+            break
         e = int(into[cur])
         if e == missing:  # zero or absorbed weights: follow csgraph's tree
             if pred is None:
-                pred = _csgraph_dijkstra(_csr(field), directed=True, indices=ui,
-                                         return_predecessors=True)[1]
+                pred = _solve(grid, w, ui, return_predecessors=True)[1]
             e = grid._edge_between(cur, int(pred[cur]))
         edges.append(e)
         cur = int(tails[e] + heads[e]) - cur
+    else:
+        raise RuntimeError("geodesic walk did not reach the source")
     distance = float(ds[vi])
     if abs(float(w[edges].sum()) - distance) > 1e-9:
         raise RuntimeError("geodesic weight sum disagrees with the label")

@@ -150,6 +150,19 @@ class TestFpp:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "1083b0ebbb9c8b3decdf7d94a041f48d3b1475dcc11731d2123b8d7111bd1ef3")
 
+    @pytest.mark.parametrize("args, digest", [
+        (("--dist", "gamma:shape=2", "--ns", "16,32,64", "--samples", "500", "--workers", "2"),
+         "24b8a7af49f2ace1ed11643fd0fbc363670a8c7448d73cdd4571ddcaea45355d"),
+        (("--dist", "beta:a=2,b=3", "--ns", "8,16", "--samples", "200"),
+         "284178a5b6d3826e43cf501c9bc5bdf0227e4fc1b8bd261b1136c26f2e5ea71d"),
+    ], ids=["gamma-2w", "beta"])
+    def test_sweep_csv_golden_costly_quantile(self, capsys, args, digest):
+        # Laws whose rows take the pruned replicate; digests recorded on the
+        # full-field path.
+        code, out, _ = run(capsys, "fpp", "sweep", *args, "--seed", "1")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_bad_ns(self, capsys):
         code, _, err = run(capsys, "fpp", "sweep", "--ns", "8,banana",
                            "--samples", "120", "--seed", "0")

@@ -191,14 +191,33 @@ class TestRandomVertex:
         with pytest.raises(ValueError):
             ca.random_vertex(np.zeros((2, 5), dtype=int), 2)
 
+    def test_entry_validation(self):
+        with pytest.raises(ValueError, match="0 or 1"):
+            ca.random_vertex(np.array([[0, 1, 2, 0], [0, 0, 0, 0]]), 2)
+
+    @staticmethod
+    def _per_row(mat, m):
+        # reference: a fresh averaging function evaluated one row at a time
+        return tuple(ca.AveragingFunction(m)(row) for row in mat)
+
+    def test_matches_per_row_all_m2_matrices(self):
+        for mat in ca.cube(8).astype(int).reshape(-1, 2, 4):
+            assert ca.random_vertex(mat, 2) == self._per_row(mat, 2)
+
+    def test_matches_per_row_seeded_m3(self):
+        rng = np.random.default_rng(23)
+        for _ in range(500):
+            d = int(rng.integers(2, 4))
+            mat = rng.integers(0, 2, size=(d, 9))
+            assert ca.random_vertex(mat, d) == self._per_row(mat, 3)
+
     def test_point_probability_bound(self):
         # product of level bounds + 3 binomial standard errors (MC oracle)
         m, d, trials = 3, 2, 100_000
         rng = np.random.default_rng(17)
         bits = rng.integers(0, 2, size=(trials, d, m * m))
         fn = ca.AveragingFunction(m)
-        weights = bits.sum(axis=2)
-        vals = np.vectorize(fn.value_at_weight)(weights)
+        vals = fn.value_at_weight(bits.sum(axis=2))
         codes = vals[:, 0] * (m + 1) + vals[:, 1]
         top = np.bincount(codes).max() / trials
         bound = (2.0 * ca.c1_constant(m) / m) ** 2

@@ -1,13 +1,21 @@
+import functools
 import math
+import multiprocessing as mp
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fppvar import experiments as ex
 from fppvar import fpp
-from fppvar.edge_distributions import exponential, sample
+from fppvar.edge_distributions import (_uniforms, beta_family, chi2_family, exponential,
+                                       gamma_family, half_normal, parse_distribution, sample)
 
 DIST = exponential()
+PRUNED_LAWS = ["gamma:shape=2", "gamma:shape=0.7,rate=3.3", "beta:a=2,b=3",
+               "beta:a=0.5,b=0.5", "chi2:k=3,alpha=0.5"]
 
 
 class TestBox:
@@ -140,3 +148,119 @@ class TestFitScaling:
         res = ex.sweep(DIST, 2, [8, 16, 32], 400, seed=77)
         fit = ex.fit_scaling(res)
         assert fit.slope_loglog < 1.0
+
+
+@pytest.fixture
+def force_pruned(monkeypatch):
+    monkeypatch.setattr(ex, "_pruned_pays", lambda *timings: True)
+
+
+@functools.cache
+def _box(d, n):
+    return ex.box_for_target(d, n)
+
+
+def _pruned_replicate_ok(dist, d, n, seed, r) -> bool:
+    """Whether the pruned value of replicate r equals, bit for bit, the label
+    of the full field that ``sample`` draws for it, and every table lower
+    bound sits at or below its edge's weight; the row is set up by
+    ``ex._init_worker`` in this process."""
+    tab = ex._CTX["tab"]
+    grid = _box(d, n)
+    field = fpp.WeightField(grid=grid, weights=sample(
+        dist, np.random.SeedSequence((seed, n, r)), grid.edge_count))
+    want = float(fpp.distances_from(field, (0,) * d)[grid.vertex_index((n,) + (0,) * (d - 1))])
+    u = _uniforms(np.random.SeedSequence((seed, n, r)), grid.edge_count)
+    return (tab is not None
+            and bool(np.all(tab[np.floor(u * ex.TABLE_SIZE).astype(int)] <= field.weights))
+            and ex._replicate_value(r).hex() == want.hex())
+
+
+def check_pruned_replicates(dist, d, n, seed, replicates, workers=1):
+    """Check replicates 0..replicates-1, in ``workers`` processes when more
+    than one (the full-field draws dominate the cost); they are forked, so
+    they inherit a patched path choice."""
+    args = [(dist, d, n, seed, r) for r in range(replicates)]
+    if workers == 1:
+        ex._init_worker(dist, d, n, seed)
+        ok = [_pruned_replicate_ok(*a) for a in args]
+    else:
+        with mp.get_context("fork").Pool(workers, ex._init_worker, (dist, d, n, seed)) as pool:
+            ok = pool.starmap(_pruned_replicate_ok, args, chunksize=16)
+    assert [r for r in range(replicates) if not ok[r]] == []
+
+
+class TestPrunedReplicate:
+    # 2004 replicates with the d=3 box; the cheaper the full-field draw, the
+    # more of them.
+    @pytest.mark.parametrize("spec, n, replicates", [
+        *[(spec, 8, count) for spec, count in zip(PRUNED_LAWS, (400, 200, 200, 850, 200))],
+        *[(spec, 32, 30) for spec in PRUNED_LAWS]])
+    def test_matches_full_field(self, force_pruned, spec, n, replicates):
+        check_pruned_replicates(parse_distribution(spec), 2, n, 1, replicates, workers=2)
+
+    def test_matches_full_field_d3(self, force_pruned):
+        check_pruned_replicates(parse_distribution("gamma:shape=2"), 3, 4, 2, 4, workers=2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(
+        st.builds(gamma_family, st.floats(0.2, 20.0), st.floats(0.1, 10.0)),
+        st.builds(beta_family, st.floats(0.2, 10.0), st.floats(0.2, 10.0)),
+        st.builds(chi2_family, st.floats(0.4, 20.0), st.floats(0.1, 5.0))),
+        st.integers(0, 2**32 - 1))
+    def test_matches_full_field_drawn_laws(self, dist, seed):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ex, "_pruned_pays", lambda *timings: True)
+            check_pruned_replicates(dist, 2, 2, seed, 1)
+
+    @pytest.mark.parametrize("spec", PRUNED_LAWS + ["exp:rate=1", "uniform"])
+    def test_table_is_the_quantile_at_its_levels(self, spec):
+        dist = parse_distribution(spec)
+        tab, draw_s = ex._lower_table(dist)
+        assert draw_s > 0
+        levels = np.arange(1, ex.TABLE_SIZE) / ex.TABLE_SIZE
+        assert tab[0] == dist.lo
+        assert np.array_equal(tab[1:], dist.ppf(levels))
+        assert np.all(np.diff(tab) >= 0)
+
+    def test_infinite_top_quantile_keeps_the_plain_path(self, force_pruned):
+        # (1 + u) / 2 rounds to 1 at the largest draw, where ndtri is inf.
+        dist = half_normal()
+        assert ex._lower_table(dist)[0] is None
+        ex._init_worker(dist, 2, 4, 0)
+        assert ex._CTX["tab"] is None
+
+    def test_bad_exact_weights_fail_loudly(self):
+        lower = np.zeros(4)
+        for bad in (np.nan, np.inf, -1.0):
+            dist = SimpleNamespace(_quantile=lambda p, bad=bad: np.full(p.shape, bad))
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                ex._exact(dist, np.full(4, 0.5), lower, np.arange(2))
+
+    def test_path_choice_is_a_function_of_the_timings(self, monkeypatch):
+        edges = 1000
+        solve_s = 1e-3
+        at = ex.BREAK_EVEN * solve_s / edges
+        for scale in (0.01, 1.0, 100.0):  # a busy host slows both timings
+            assert ex._pruned_pays(1.01 * at * scale, solve_s * scale, edges)
+            assert not ex._pruned_pays(0.99 * at * scale, solve_s * scale, edges)
+        choices = []
+        pays = ex._pruned_pays
+
+        def spy(*timings):
+            choices.append(pays(*timings))
+            return choices[-1]
+
+        monkeypatch.setattr(ex, "_pruned_pays", spy)
+        for spec in ("exp:rate=1", "beta:a=2,b=3"):
+            ex._init_worker(parse_distribution(spec), 2, 8, 1)
+            assert (ex._CTX["tab"] is not None) == choices[-1]
+        assert choices == [False, True]
+
+    def test_rows_do_not_depend_on_the_path(self, monkeypatch):
+        dist = parse_distribution("gamma:shape=2")
+        rows = []
+        for pays in (False, True):
+            monkeypatch.setattr(ex, "_pruned_pays", lambda *timings, pays=pays: pays)
+            rows.append(ex.estimate_variance(dist, 2, 8, 120, seed=4, workers=2))
+        assert rows[0] == rows[1]

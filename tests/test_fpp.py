@@ -117,6 +117,14 @@ class TestGridSpec:
                     assert g.edge_index(v, axis) == len(want)
                     want.append((row_major(v, lo, g.extents), row_major(head, lo, g.extents)))
             assert list(zip(g.edge_tails.tolist(), g.edge_heads.tolist())) == want
+            every = np.arange(g.edge_count)
+            assert np.array_equal(g._edges_between(g.edge_tails, g.edge_heads), every)
+            assert np.array_equal(g._edges_between(g.edge_heads, g.edge_tails), every)
+
+    def test_edges_between_rejects_non_adjacent(self):
+        g = fpp.GridSpec(lo=(0, 0), hi=(2, 2))
+        with pytest.raises(ValueError):
+            g._edges_between(np.array([0, 0]), np.array([1, 4]))
 
     def test_out_of_box(self):
         g = fpp.GridSpec(lo=(0, 0), hi=(2, 2))
@@ -266,8 +274,8 @@ class TestPassageTime:
                 want, want_pred = dijkstra(upper, directed=False, indices=g.vertex_index(src),
                                            return_predecessors=True)
                 assert fpp.distances_from(field, src).tobytes() == want.tobytes()
-                pred = dijkstra(fpp._csr(field), directed=True, indices=g.vertex_index(src),
-                                return_predecessors=True)[1]
+                pred = fpp._solve(g, field.weights, g.vertex_index(src),
+                                  return_predecessors=True)[1]
                 assert np.array_equal(pred, want_pred)
 
     def test_unit_weights_smallest_index_geodesic(self):
@@ -306,6 +314,43 @@ class TestPassageTime:
                     cur = h if cur == t else t
                 assert cur == grid.vertex_index(dst)
                 assert sum(w[e] for e in res.geodesic_edges) == res.distance
+
+    def test_wrong_fallback_edge_raises(self, monkeypatch):
+        # On an all-zero field every step follows the predecessor tree.  An
+        # edge lookup that steps to the largest neighbour instead cycles
+        # between (2, 2) and (2, 1); the walk must stop with an error.
+        grid = fpp.GridSpec(lo=(0, 0), hi=(2, 2))
+        adj = adjacency(grid)
+        calls = []
+
+        def wrong(self, a, b):
+            calls.append(a)
+            assert len(calls) <= 10 * grid.vertex_count, "the walk does not stop"
+            return max(adj[a])[1]
+
+        monkeypatch.setattr(fpp.GridSpec, "_edge_between", wrong)
+        field = fpp.WeightField(grid=grid, weights=np.zeros(grid.edge_count))
+        with pytest.raises(RuntimeError, match="did not reach the source"):
+            fpp.passage_time(field, (0, 0), (2, 2))
+        assert len(calls) <= grid.vertex_count
+
+    def test_tree_walk(self):
+        grid = fpp.GridSpec(lo=(0, 0, 0), hi=(3, 2, 2))
+        w = sample(exponential(), 4, grid.edge_count)
+        src, dst = 0, grid.vertex_count - 1
+        ds, pred = fpp._solve(grid, w, src, return_predecessors=True)
+        edges = fpp._tree_edges(grid, pred, src, dst)
+        cur = dst
+        for e in edges.tolist():
+            t, h = int(grid.edge_tails[e]), int(grid.edge_heads[e])
+            assert cur in (t, h)
+            cur = h if cur == t else t
+        assert cur == src
+        assert w[edges].sum() == pytest.approx(ds[dst], rel=1e-12)
+        # A predecessor cycle that never reaches the source is an error.
+        pred[dst], pred[dst - 1] = dst - 1, dst
+        with pytest.raises(RuntimeError, match="did not reach the source"):
+            fpp._tree_edges(grid, pred, src, dst)
 
     def test_out_of_box_rejected(self):
         g = fpp.GridSpec(lo=(0, 0), hi=(2, 2))
