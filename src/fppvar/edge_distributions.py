@@ -168,33 +168,55 @@ def parse_distribution(spec: str) -> EdgeDistribution:
     return ctor(**kwargs)
 
 
+def _check_inside(dist: EdgeDistribution, y: np.ndarray) -> None:
+    if np.any(y <= dist.lo) or np.any(y >= dist.hi):
+        raise ValueError("y must lie strictly inside the support")
+
+
+def _psi_at_level(dist: EdgeDistribution, p: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """psi at y = Q(p), from the level p that produced y.
+
+    The caller knows p, so neither cdf nor sf is evaluated; the value is as
+    accurate as the quantile that gave y.
+    """
+    _check_inside(dist, y)
+    return gaussian.pdf_at_quantile(p) / np.asarray(dist.pdf(y), dtype=float)
+
+
 def psi(dist: EdgeDistribution, y):
     """Quantile-coupling factor pdf_at_quantile(H(y)) / h(y) on the open support.
 
     The small side of (H, 1-H) feeds the tail-stable composition so the value
-    stays accurate when y sits deep in either tail.
+    stays accurate when y sits deep in either tail.  ``cdf`` is evaluated at
+    every point and ``sf`` only where ``cdf > 0.5``, the side that is kept.
+    Callers that drew y = Q(p) themselves use :func:`_psi_at_level` with the
+    level they know instead, which needs neither.
     """
     arr = np.asarray(y, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    if np.any(arr <= dist.lo) or np.any(arr >= dist.hi):
-        raise ValueError("y must lie strictly inside the support")
-    cdfv = np.asarray(dist.cdf(arr), dtype=float)
-    sfv = np.asarray(dist.sf(arr), dtype=float)
-    small = np.where(cdfv <= 0.5, cdfv, sfv)
+    _check_inside(dist, arr)
+    small = np.array(dist.cdf(arr), dtype=float)
+    upper = small > 0.5
+    small[upper] = dist.sf(arr[upper])
     if np.any(small <= 0.0):
         raise ValueError("cdf underflow: y is too deep in the tail to resolve")
-    dens = np.asarray(dist.pdf(arr), dtype=float)
-    out = gaussian.pdf_at_quantile(small) / dens
+    out = _psi_at_level(dist, small, arr)
     return float(out[0]) if scalar else out
 
 
+# The levels a draw can take: u == 0 occurs with probability 2^-53 and would
+# land on the support endpoint, and so would u == 1 - 2^-53 for a quantile
+# that rounds 1 + u to 2 (halfnormal's ndtri((1 + u) / 2)).
+_U_LO = 2.0 ** -52
+_U_HI = 1.0 - 2.0 ** -52
+
+
 def _uniforms(seed, n: int) -> np.ndarray:
-    """The n levels in [2^-52, 1 - 2^-53] that :func:`sample` maps through
+    """The n levels in [2^-52, 1 - 2^-52] that :func:`sample` maps through
     the quantile; a pure function of (seed, n)."""
     u = np.random.default_rng(seed).random(n)
-    # u == 0 occurs with probability 2^-53 and would land on the support endpoint
-    np.clip(u, 2.220446049250313e-16, None, out=u)
+    np.clip(u, _U_LO, _U_HI, out=u)
     return u
 
 
@@ -294,8 +316,8 @@ def check_near_gamma_sufficient(dist: EdgeDistribution) -> NearGammaReport:
 
 def _direct_stats(dist: EdgeDistribution, m: int) -> tuple[float, float, int]:
     p = (np.arange(m) + 0.5) / m
-    ys = np.asarray(dist.ppf(p), dtype=float)
-    psis = psi(dist, ys)
+    ys = dist._quantile(p)
+    psis = _psi_at_level(dist, p, ys)
     a_hat = float(np.max(psis / np.sqrt(ys)))
 
     a_grid = np.geomspace(1e-4, 1e-1, 13)

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fpp
-from .edge_distributions import EdgeDistribution, _uniforms, sample
+from .edge_distributions import _U_HI, EdgeDistribution, _uniforms, sample
 
 CSV_HEADER = "n,samples,mean,var,se_var,mean_over_n,var_over_n,var_logn_over_n,seed"
 
@@ -145,7 +145,7 @@ def _lower_table(dist: EdgeDistribution) -> tuple[np.ndarray | None, float]:
         draw_s = min(draw_s, (time.perf_counter() - start) / levels.size)
     tab = np.concatenate(blocks)
     tab[0] = dist.lo
-    top = dist._quantile(np.array([1.0 - 2.0 ** -53]))[0]
+    top = dist._quantile(np.array([_U_HI]))[0]
     ok = tab[0] >= 0.0 and np.all(np.diff(tab) >= 0.0) and tab[-1] <= top < math.inf
     return (tab if ok else None), draw_s
 

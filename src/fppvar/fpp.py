@@ -178,6 +178,9 @@ class WeightField:
         # min() is NaN when any weight is, and fails the comparison.
         if not (self.weights.min() >= 0.0 and np.isfinite(self.weights.max())):
             raise ValueError("weights must be finite and nonnegative")
+        # Read-only after validation; a view, so the caller's array stays writable.
+        self.weights = self.weights.view()
+        self.weights.flags.writeable = False
 
 
 def field_from_distribution(grid: GridSpec, dist: EdgeDistribution | str,
@@ -332,13 +335,15 @@ def single_edge_response(field: WeightField, v: Sequence[int], e: int,
         raise ValueError("y_grid must start at 0")
     if not (0 <= e < grid.edge_count):
         raise ValueError("edge index out of range")
-    origin = tuple(0 for _ in range(grid.d))
+    origin = grid.vertex_index((0,) * grid.d)
     vi = grid.vertex_index(v)
-    work = WeightField(grid=grid, weights=field.weights.copy())
+    # Every y is finite and nonnegative (checked above), so each modified
+    # copy of the validated weights is itself a valid field.
+    weights = field.weights.copy()
     out = np.empty_like(ys)
     for j, y in enumerate(ys):
-        work.weights[e] = y
-        out[j] = distances_from(work, origin)[vi]
+        weights[e] = y
+        out[j] = _solve(grid, weights, origin)[vi]
     intercept = float(out[0])
     plateau = float(out[-1])
     fitted = np.minimum(intercept + ys, plateau)

@@ -36,7 +36,7 @@ from scipy import special
 
 from . import gaussian
 from .cube_averaging import cube, flip
-from .edge_distributions import EdgeDistribution, psi as _psi, sample as _dist_sample
+from .edge_distributions import EdgeDistribution, _psi_at_level, _uniforms
 from .gaussian import QuadratureRule
 from .phi import phi, phi_derivative
 
@@ -179,11 +179,12 @@ def _variance_and_se(vals: np.ndarray) -> tuple[float, float]:
     alone is 0 for a symmetric two-point law, whose s^2 still varies.
     """
     n = vals.size
-    centered = vals - vals.mean()
-    m2 = float(np.mean(centered ** 2))
-    m4 = float(np.mean(centered ** 4))
+    # ** 2 is numpy's square; ** 4 would call pow per element.
+    sq = (vals - vals.mean()) ** 2
+    m2 = float(np.mean(sq))
+    m4 = float(np.mean(sq * sq))
     se = math.sqrt(max(m4 / n - m2 * m2 * (n - 3) / (n * (n - 1)), 0.0))
-    return float(np.var(vals, ddof=1)), se
+    return float(np.sum(sq)) / (n - 1), se
 
 
 def _term_se(dvals: np.ndarray, term: ContinuousTerm, ratio_scale: float,
@@ -339,9 +340,12 @@ def verify_change_of_variables(f: Callable, fprime: Callable,
     """
     if samples < MIN_MC_SAMPLES:
         raise ValueError(f"need at least {MIN_MC_SAMPLES} samples")
-    y = _dist_sample(dist, seed, samples)
+    # The draws of sample(dist, seed, samples), with their levels kept for psi.
+    u = _uniforms(seed, samples)
+    y = dist._quantile(u)
     vals = np.broadcast_to(np.asarray(f(y), dtype=float), (samples,))
-    dvals = np.broadcast_to(_psi(dist, y) * np.asarray(fprime(y), dtype=float), (samples,))
+    dvals = np.broadcast_to(_psi_at_level(dist, u, y) * np.asarray(fprime(y), dtype=float),
+                            (samples,))
     return _mc_inequality(vals, [dvals], np.zeros(samples), 1.0, 2.0)
 
 

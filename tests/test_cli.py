@@ -62,6 +62,22 @@ class TestCheckNearGamma:
             assert key in rep
         assert rep["verdict"] == "sufficient-conditions-pass"
 
+    # Verdicts and exit codes at the default grid, as recorded before psi
+    # took its levels from the quantile grid.
+    @pytest.mark.parametrize("spec, verdict", [
+        ("exp:rate=1", "sufficient-conditions-pass"),
+        ("gamma:shape=2", "sufficient-conditions-pass"),
+        ("beta:a=2,b=3", "sufficient-conditions-pass"),
+        ("uniform", "sufficient-conditions-pass"),
+        ("chi2", "sufficient-conditions-pass"),
+        ("halfnormal", "direct-evidence-only"),
+        ("beta:a=0.5,b=0.5", "sufficient-conditions-pass"),
+        ("gamma:shape=0.7,rate=3.3", "sufficient-conditions-pass")])
+    def test_recorded_verdicts(self, capsys, spec, verdict):
+        code, out, _ = run(capsys, "check-neargamma", "--dist", spec)
+        rep = json.loads(out)
+        assert (code, rep["verdict"], rep["direct_pass"]) == (0, verdict, True)
+
     def test_halfnormal_direct_only(self, capsys):
         code, out, _ = run(capsys, "check-neargamma", "--dist", "halfnormal",
                            "--grid-size", "5000")

@@ -1,6 +1,8 @@
+import functools
 import math
 import pickle
 
+import mpmath as M
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,6 +49,17 @@ class TestFamilies:
         s = ed.sample(d, 11, 10_000)
         se = d.std() / math.sqrt(s.size)
         assert abs(s.mean() - 2.0) <= 3 * se
+
+    def test_largest_draw_is_finite(self, monkeypatch):
+        # At u = 1 - 2^-53 halfnormal's ndtri((1 + u) / 2) is inf; draws stop
+        # at 1 - 2^-52, and at 2^-52 below.
+        for top in (1.0 - 2.0 ** -53, 0.0):
+            fake = type("Rng", (), {"random": lambda self, n, top=top: np.full(n, top)})
+            monkeypatch.setattr(np.random, "default_rng", lambda seed: fake())
+            u = ed._uniforms(0, 4)
+            assert np.all((u >= 2.0 ** -52) & (u <= 1.0 - 2.0 ** -52))
+            for dist in KERNEL_LAWS:
+                assert np.all(np.isfinite(ed.sample(dist, 0, 4))), dist.name
 
     def test_sample_validation(self):
         with pytest.raises(ValueError):
@@ -118,7 +131,7 @@ class TestQuantileKernels:
     def test_sample_matches_frozen_ppf(self, dist):
         for seed in (0, 1, 2024):
             u = np.random.default_rng(seed).random(20_000)
-            np.clip(u, 2.220446049250313e-16, None, out=u)
+            np.clip(u, 2.0 ** -52, 1.0 - 2.0 ** -52, out=u)
             assert same_bits(ed.sample(dist, seed, 20_000), dist.dist.ppf(u))
 
     @pytest.mark.parametrize("dist", KERNEL_LAWS, ids=lambda d: d.name)
@@ -220,6 +233,139 @@ class TestPsi:
             ed.psi(ed.uniform_family(), 1.5)
         with pytest.raises(ValueError):
             ed.psi(ed.exponential(), 0.0)
+
+
+# The laws of the psi oracle tests: the six defaults, the U-shaped beta and
+# a gamma below shape 1 with a non-unit rate.
+ORACLE_SPECS = ["exp:rate=1", "gamma:shape=2", "beta:a=2,b=3", "uniform", "chi2", "halfnormal",
+                "beta:a=0.5,b=0.5", "gamma:shape=0.7,rate=3.3"]
+ORACLE_LEVELS = [1e-12, 1e-6, 0.3, 0.5, 0.7, 1 - 1e-6, 1 - 1e-12]
+BULK = (0.3, 0.5, 0.7)
+
+
+def _closed_forms(dist):
+    """(cdf, sf, pdf, d log pdf / dy) of the law from its closed form, as
+    mpmath functions; the parameters are the doubles scipy's law holds."""
+    family = dist.name.partition(":")[0]
+    if family in ("exp", "gamma", "chi2"):
+        k = M.mpf(dist.dist.kwds.get("a", 1.0))
+        scale = M.mpf(dist.dist.kwds["scale"])
+        return (lambda y: M.gammainc(k, 0, y / scale, regularized=True),
+                lambda y: M.gammainc(k, y / scale, M.inf, regularized=True),
+                lambda y: (y / scale) ** (k - 1) * M.exp(-y / scale) / (M.gamma(k) * scale),
+                lambda y: (k - 1) / y - 1 / scale)
+    if family == "beta":
+        a, b = (M.mpf(v) for v in dist.dist.args)
+        return (lambda y: M.betainc(a, b, 0, y, regularized=True),
+                lambda y: M.betainc(a, b, y, 1, regularized=True),
+                lambda y: y ** (a - 1) * (1 - y) ** (b - 1) / M.beta(a, b),
+                lambda y: (a - 1) / y - (b - 1) / (1 - y))
+    if family == "uniform":  # on (0, 1)
+        return (lambda y: y, lambda y: 1 - y, lambda y: M.mpf(1), lambda y: M.mpf(0))
+    return (lambda y: M.erf(y / M.sqrt(2)), lambda y: M.erfc(y / M.sqrt(2)),
+            lambda y: M.sqrt(2 / M.pi) * M.exp(-y * y / 2), lambda y: -y)
+
+
+def _root(side, dens, q, lo, hi):
+    """x in (lo, hi) with side(x) = q, for a monotone side with derivative
+    dens: 40 bisections on a log scale (to better than 1e-9 relative),
+    then Newton steps on log side."""
+    lq = M.log(q)
+    grows = side(hi) > side(lo)
+    for _ in range(40):
+        mid = M.sqrt(lo * hi)
+        if (side(mid) < q) == grows:
+            lo = mid
+        else:
+            hi = mid
+    x = M.sqrt(lo * hi)
+    for _ in range(8):
+        x -= (M.log(side(x)) - lq) * side(x) / dens(x)
+    # Far below double precision; near y = 1, 50 digits hold 1 - y to
+    # 50 + log10(1 - y) digits only.
+    assert abs(M.log(side(x)) - lq) < M.mpf(10) ** -20
+    return x
+
+
+def _gaussian_pdf_at(q):
+    """The standard Gaussian density at its q-quantile, q <= 1/2."""
+    x = _root(lambda t: M.ncdf(-t), lambda t: -M.npdf(t), q, M.mpf(10) ** -30, M.mpf(40))
+    return M.npdf(x)
+
+
+@functools.cache
+def _oracle(spec: str, p: float) -> tuple[float, float, float]:
+    """(y, psi at the exact level, |y h'(y) / h(y)|) at 50 digits, where y
+    is the double nearest the exact p-quantile of the closed-form cdf."""
+    dist = ed.parse_distribution(spec)
+    with M.workdps(50):
+        cdf, sf, pdf, dlog = _closed_forms(dist)
+        mp_p = M.mpf(p)
+        if p <= 0.5:
+            exact = _root(cdf, pdf, mp_p, M.mpf(10) ** -300, M.mpf(min(dist.hi, 1e3)))
+        elif math.isfinite(dist.hi):  # solve for the distance to the upper end
+            exact = dist.hi - _root(lambda z: sf(dist.hi - z), lambda z: pdf(dist.hi - z),
+                                    1 - mp_p, M.mpf(10) ** -300, M.mpf(dist.hi - dist.lo))
+        else:
+            exact = _root(sf, lambda y: -pdf(y), 1 - mp_p, M.mpf(10) ** -3, M.mpf(1e3))
+        at_level = _gaussian_pdf_at(min(mp_p, 1 - mp_p)) / pdf(exact)
+        return float(exact), float(at_level), float(abs(exact * dlog(exact)))
+
+
+def _psi_oracle(spec: str, y: float):
+    """psi at the double y at 50 digits; None when y is not inside the support."""
+    dist = ed.parse_distribution(spec)
+    if not dist.lo < y < dist.hi:
+        return None
+    with M.workdps(50):
+        cdf, sf, pdf, _ = _closed_forms(dist)
+        ym = M.mpf(y)
+        return float(_gaussian_pdf_at(min(cdf(ym), sf(ym))) / pdf(ym))
+
+
+class TestPsiOracle:
+    """psi and the known-level helper against 50-digit mpmath references
+    built from each law's closed-form cdf and density."""
+
+    @pytest.mark.parametrize("spec", ORACLE_SPECS)
+    def test_psi_at_y(self, spec):
+        # At each level's quantile y, and at a point 2^-30 of the way from y
+        # to the median, whose cdf is not within rounding of a double level.
+        # Measured: at most 4.3e-15 relative, tails included.
+        dist = ed.parse_distribution(spec)
+        median = _oracle(spec, 0.5)[0]
+        for p in ORACLE_LEVELS:
+            y = _oracle(spec, p)[0]
+            for point in (y, y + (median - y) * 2.0 ** -30):
+                want = _psi_oracle(spec, point)
+                if want is None:
+                    with pytest.raises(ValueError):
+                        ed.psi(dist, point)
+                else:
+                    assert ed.psi(dist, point) == pytest.approx(want, rel=1e-12), (p, point)
+
+    @pytest.mark.parametrize("spec", ORACLE_SPECS)
+    def test_psi_at_level(self, spec):
+        # y holds the exact quantile only to half an ulp, which moves h(y) by
+        # up to |y h'/h| 2^-53 relative: in the tails that bounds the error,
+        # 4.5e-5 for beta(0.5, 0.5) at 1 - 1e-6, where 1 - y is 2.5e-12
+        # (measured 8.4e-6); elsewhere measured at most 1e-13.
+        dist = ed.parse_distribution(spec)
+        for p in ORACLE_LEVELS:
+            y, want, cond = _oracle(spec, p)
+            if not dist.lo < y < dist.hi:
+                with pytest.raises(ValueError):
+                    ed._psi_at_level(dist, np.array([p]), np.array([y]))
+                continue
+            got = ed._psi_at_level(dist, np.array([p]), np.array([y]))[0]
+            bound = 1e-12 + (0.0 if p in BULK else cond * 2.0 ** -52)
+            assert got == pytest.approx(want, rel=bound), p
+
+    def test_rejects_levels_and_points_outside(self):
+        dist = ed.beta_family(2.0, 3.0)
+        for p, y in ((0.0, 0.5), (1.0, 0.5), (0.5, 0.0), (0.5, 1.0)):
+            with pytest.raises(ValueError):
+                ed._psi_at_level(dist, np.array([p]), np.array([y]))
 
 
 class TestNearGamma:

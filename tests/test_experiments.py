@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from fppvar import experiments as ex
 from fppvar import fpp
-from fppvar.edge_distributions import (_uniforms, beta_family, chi2_family, exponential,
+from fppvar.edge_distributions import (_U_HI, _uniforms, beta_family, chi2_family, exponential,
                                        gamma_family, half_normal, parse_distribution, sample)
 
 DIST = exponential()
@@ -224,11 +224,17 @@ class TestPrunedReplicate:
         assert np.all(np.diff(tab) >= 0)
 
     def test_infinite_top_quantile_keeps_the_plain_path(self, force_pruned):
-        # (1 + u) / 2 rounds to 1 at the largest draw, where ndtri is inf.
-        dist = half_normal()
+        # A law whose quantile is inf at the largest level a draw can take.
+        dist = SimpleNamespace(lo=0.0, _quantile=lambda p: np.where(p < _U_HI, p, np.inf))
         assert ex._lower_table(dist)[0] is None
         ex._init_worker(dist, 2, 4, 0)
         assert ex._CTX["tab"] is None
+
+    def test_half_normal_top_quantile_is_finite(self, force_pruned):
+        # Draws stop at 1 - 2^-52: at 1 - 2^-53, (1 + u) / 2 rounds to 1 in
+        # halfnormal's ndtri((1 + u) / 2), which is inf.
+        assert ex._lower_table(half_normal())[0] is not None
+        check_pruned_replicates(half_normal(), 2, 4, 0, 4)
 
     def test_bad_exact_weights_fail_loudly(self):
         lower = np.zeros(4)

@@ -179,6 +179,14 @@ class TestWeightField:
         field = fpp.field_from_distribution(fpp.GridSpec(lo=lo, hi=hi), "exp:rate=1", 11)
         assert hashlib.sha256(field.weights.tobytes()).hexdigest() == digest
 
+    def test_weights_read_only_after_validation(self):
+        g = fpp.GridSpec(lo=(0, 0), hi=(3, 3))
+        mine = np.ones(g.edge_count)
+        field = fpp.WeightField(grid=g, weights=mine)
+        with pytest.raises(ValueError, match="read-only"):
+            field.weights[0] = 1.0
+        mine[0] = 2.0  # the caller's own array stays writable
+
     def test_sampling_reproducible(self):
         g = fpp.GridSpec(lo=(0, 0), hi=(3, 3))
         f1 = fpp.field_from_distribution(g, "exp:rate=1", 42)
@@ -433,6 +441,20 @@ class TestSingleEdgeResponse:
         curve = fpp.single_edge_response(field, (1, 0), e, np.linspace(0.0, 10.0, 21))
         assert curve.breakpoint == pytest.approx(0.0, abs=1e-12)
         assert np.all(curve.distances == curve.distances[0])
+
+    def test_matches_separately_built_fields(self):
+        g = fpp.GridSpec(lo=(-2, -2), hi=(6, 6))
+        field = fpp.field_from_distribution(g, "exp:rate=1", 5)
+        e = g.edge_index((2, 0), 0)
+        ys = np.array([0.0, 0.25, 1.0, 3.0, 12.0])
+        curve = fpp.single_edge_response(field, (4, 1), e, ys)
+        for y, got in zip(ys, curve.distances):
+            w = field.weights.copy()
+            w[e] = y
+            want = fpp.distances_from(fpp.WeightField(grid=g, weights=w), (0, 0))
+            assert got == want[g.vertex_index((4, 1))]
+        again = fpp.field_from_distribution(g, "exp:rate=1", 5)
+        assert np.array_equal(field.weights, again.weights)
 
     def test_grid_validation(self):
         g = fpp.GridSpec(lo=(0, 0), hi=(3, 3))

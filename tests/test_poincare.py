@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -239,6 +240,31 @@ class TestChi2Inequality:
         with pytest.raises(ValueError):
             P.verify_chi2_inequality(lambda y: y, lambda y: np.ones_like(y),
                                      k=2, alpha=0.0, samples=2000, seed=0)
+
+
+class TestVarianceAndSe:
+    def test_against_exact_rationals(self):
+        # s^2 and the SE from the exact central moments of the doubles; m2
+        # and m4 enter through the SE.  Every fourth array is a symmetric
+        # two-point law, where the two SE terms nearly cancel.
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(10, 300))
+            vals = [rng.standard_normal(n), 3.0 + rng.exponential(2.0, n),
+                    rng.uniform(-5.0, 5.0, n), rng.choice([-1.0, 1.0], n)][seed % 4]
+            s2, se = P._variance_and_se(vals)
+            xs = [Fraction(v) for v in vals.tolist()]
+            mean = sum(xs) / n
+            sq = [(x - mean) ** 2 for x in xs]
+            m2 = sum(sq) / n
+            m4 = sum(q * q for q in sq) / n
+            want_se = math.sqrt(float(max(m4 / n - m2 * m2 * (n - 3) / (n * (n - 1)), 0)))
+            assert s2 == pytest.approx(float(sum(sq) / (n - 1)), rel=1e-13), seed
+            assert se == pytest.approx(want_se, rel=1e-13), seed
+
+    def test_variance_is_numpys(self):
+        vals = np.random.default_rng(9).standard_normal(20_000)
+        assert P._variance_and_se(vals)[0] == float(np.var(vals, ddof=1))
 
 
 class TestChangeOfVariables:
