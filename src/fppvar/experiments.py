@@ -18,23 +18,17 @@ can lie on a near-optimal path.  Such a row draws the same levels u as
    two (so the floor is exact) and tab[0] = lo; L_e <= Q(u_e) by
    monotonicity alone.
 2. Solve under L from the source with predecessors, take exact weights on
-   that tree path, and set T_ub = (1 + MARGIN) * their sum, so T_ub >= T.
-3. Solve under L from the target with ``limit=T_ub``, and keep edge (t, h)
-   when min(d0[t] + dv[h], d0[h] + dv[t]) + L_e <= T_ub.
+   that tree path, and set T_ub = (1 + fpp.MARGIN) * their sum, so T_ub >= T.
+3. Solve under L from the target with ``limit=T_ub``, and prune with
+   ``fpp._prune`` against T_ub.
 4. Take exact weights on the kept edges, ``inf`` on the rest, and solve
    once more with ``limit=T_ub``; its label at the target is the value.
 
-Why the value is bit-identical to the full field's: csgraph's label at a
-vertex is the minimum, over paths, of the left-fold float sum of the
-path's weights (Dijkstra settles labels in order, and float addition of
-nonnegative numbers is monotone).  Monotone rounding also gives
-d0[t] <= fold of Q along any path to t, and likewise for dv, so every edge
-of the float-optimal path P* has a keep sum within (1 + 2 V eps) of T,
-while T is within (1 + V eps) of the exact sum behind T_ub (V vertices,
-eps = 2^-53; sums in the subnormal range are exact).  MARGIN = 1e-9 dwarfs
-these ~1e-12, so P* survives pruning and the minimum fold over the kept
-paths is T itself.  Exact weights are checked finite and at least L (so
-nonnegative), as ``WeightField`` checks a full field.
+The value is bit-identical to the full field's by the two facts in the
+``fpp`` module docstring: L bounds the exact weights from below, and T_ub
+is (1 + MARGIN) times a float sum of exact weights along a path.  Exact
+weights are checked finite and at least L (so nonnegative), as
+``WeightField`` checks a full field.
 
 A row takes the pruned path when ``_init_worker`` finds a valid table and
 the quantile time per field exceeds BREAK_EVEN solve times, both timed
@@ -115,8 +109,6 @@ TABLE_SIZE = 4096
 # n=16 (BENCH_8.json); the margin above it keeps a law near the break-even
 # from running slower than the plain path.
 BREAK_EVEN = 1.5
-# Relative margin on the upper bound T_ub (module docstring).
-MARGIN = 1e-9
 
 # Per-process context for replicate evaluation; set by the pool initializer
 # (inherited state must not leak between configurations, hence keyed setup).
@@ -192,12 +184,10 @@ def _pruned_value(ss) -> float:
     lower = tab[(u * TABLE_SIZE).astype(np.intp)]
     d0, pred = fpp._solve(grid, lower, src, return_predecessors=True)
     path = fpp._tree_edges(grid, pred, src, dst)
-    t_ub = float(_exact(dist, u, lower, path).sum()) * (1.0 + MARGIN)
+    t_ub = float(_exact(dist, u, lower, path).sum()) * (1.0 + fpp.MARGIN)
     dv = fpp._solve(grid, lower, dst, limit=t_ub)
-    tails, heads = grid._edge_arrays
-    through = np.minimum(d0[tails] + dv[heads], d0[heads] + dv[tails]) + lower
-    keep = np.flatnonzero(through <= t_ub)
-    weights = np.full(grid.edge_count, np.inf)
+    weights = fpp._prune(grid, d0, dv, lower, t_ub)
+    keep = np.flatnonzero(weights != np.inf)
     weights[keep] = _exact(dist, u, lower, keep)
     return float(fpp._solve(grid, weights, src, limit=t_ub)[dst])
 

@@ -18,13 +18,36 @@ weights).  Where zero or absorbed weights leave no such edge, it follows
 csgraph's predecessor tree.  Derivative-sensitive operations additionally
 *detect* near-ties between distinct geodesics and refuse, signalling the
 caller to redraw the field.
+
+Two facts carry every bounded solve in the package.
+
+1. *Labels.*  A csgraph label is the minimum, over paths, of the left-fold
+   float sum of the path's weights: Dijkstra settles labels in order, and
+   float addition of nonnegative numbers is monotone.  So a label never
+   decreases when one weight grows.  A solve with ``limit=L`` returns the
+   same bits at every vertex whose label is at most L, and ``inf`` at the
+   rest: no prefix of a path folds to more than the whole path.
+2. *Pruning* (:func:`_prune`).  Let d_s and d_t be labels from s and from
+   t under weights lo, each at most the weight w of its edge (solves with
+   ``limit=B`` will do), and keep edge (a, b) when min(d_s[a] + d_t[b], d_s[b] + d_t[a]) + lo_e <= B.  Let T
+   be the label at t from s under w.  If B >= (1 + 2 V eps) T, the label
+   at t from s under w on the kept edges alone (``inf`` elsewhere,
+   ``limit=B``) is T, bit for bit.  Why: monotone rounding gives
+   d_s[a] <= the fold of w along the prefix to a of a float-optimal path
+   P*, and likewise for d_t along its reversed suffix.  A fold of V
+   nonnegative terms is within a factor (1 + V eps) of their exact sum
+   (V vertices, eps = 2^-53; sums in the subnormal range are exact), so
+   every edge of P* has a keep sum within (1 + 2 V eps) of T.  P* survives,
+   and the minimum fold over the kept paths is T itself.  MARGIN = 1e-9
+   dwarfs these ~1e-12, so B = (1 + MARGIN) X will do when X is at least T,
+   or is any float sum of w along a path from s to t.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -33,6 +56,9 @@ from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 from .edge_distributions import EdgeDistribution, parse_distribution, sample
 
 TIE_TOL = 1e-12
+# Relative margin of a bounded solve's limit over the label it must keep
+# (module docstring, fact 2).
+MARGIN = 1e-9
 
 
 class GeodesicTieError(RuntimeError):
@@ -164,12 +190,19 @@ class GridSpec:
                           shape=(self.vertex_count, self.vertex_count))
 
 
+# A seed as provenance records it: an int, or a SeedSequence's
+# (entropy, spawn_key), from which SeedSequence(entropy, spawn_key=spawn_key)
+# rebuilds it.
+SeedTag = Union[int, tuple[Union[int, tuple[int, ...]], tuple[int, ...]]]
+_DEFAULT_POOL_SIZE = np.random.SeedSequence(0).pool_size
+
+
 @dataclass
 class WeightField:
     """Edge weights on a grid, with sampling provenance when drawn from a law."""
     grid: GridSpec
     weights: np.ndarray
-    provenance: Optional[tuple[str, int]] = None
+    provenance: Optional[tuple[str, SeedTag]] = None
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
@@ -185,12 +218,26 @@ class WeightField:
 
 def field_from_distribution(grid: GridSpec, dist: EdgeDistribution | str,
                             seed) -> WeightField:
-    """Sample one weight configuration; reproducible from (spec, seed)."""
+    """Sample one weight configuration; reproducible from (spec, seed).
+
+    ``seed`` is an int or a SeedSequence with the default pool size, the
+    seeds that provenance can record in full.
+    """
+    tag = _seed_tag(seed)
     if isinstance(dist, str):
         dist = parse_distribution(dist)
-    weights = sample(dist, seed, grid.edge_count)
-    tag = seed if isinstance(seed, int) else -1
-    return WeightField(grid=grid, weights=weights, provenance=(dist.name, tag))
+    return WeightField(grid=grid, weights=sample(dist, seed, grid.edge_count),
+                       provenance=(dist.name, tag))
+
+
+def _seed_tag(seed) -> SeedTag:
+    if isinstance(seed, (int, np.integer)):
+        return int(seed)
+    if isinstance(seed, np.random.SeedSequence) and seed.pool_size == _DEFAULT_POOL_SIZE:
+        ent = seed.entropy
+        ent = int(ent) if isinstance(ent, (int, np.integer)) else tuple(int(x) for x in ent)
+        return ent, tuple(int(k) for k in seed.spawn_key)
+    raise TypeError("seed must be an int or a SeedSequence with the default pool size")
 
 
 @dataclass(frozen=True)
@@ -205,11 +252,25 @@ def _solve(grid: GridSpec, weights: np.ndarray, source: int, **options):
     """csgraph Dijkstra from vertex index ``source`` under edge ``weights``
     (unchecked; ``inf`` is an absent edge), with csgraph's ``limit`` and
     ``return_predecessors`` passed through.  Every solve in the package runs
-    here, on the grid's one matrix, so solves must not interleave."""
+    here, on the grid's one matrix, so solves must not interleave.
+
+    A label is the minimum over paths of the left-fold float sum of their
+    weights, so it never decreases when a weight grows, and ``limit=L``
+    leaves every label at most L bit-identical and sets the rest to ``inf``
+    (module docstring, fact 1)."""
     mat = grid._csr_matrix
     # perm is in range; mode="raise" would gather through a buffer copy.
     np.take(weights, grid._csr_template[2], out=mat.data, mode="wrap")
     return _csgraph_dijkstra(mat, directed=True, indices=source, **options)
+
+
+def _prune(grid: GridSpec, d_src: np.ndarray, d_dst: np.ndarray,
+           weights: np.ndarray, bound: float) -> np.ndarray:
+    """A copy of ``weights`` with ``inf`` off the edges kept by the keep test
+    of fact 2 (module docstring) against ``bound``."""
+    tails, heads = grid._edge_arrays
+    through = np.minimum(d_src[tails] + d_dst[heads], d_src[heads] + d_dst[tails]) + weights
+    return np.where(through <= bound, weights, np.inf)
 
 
 def _tree_edges(grid: GridSpec, pred: np.ndarray, source: int, target: int) -> np.ndarray:
@@ -280,14 +341,17 @@ def _assert_unique_geodesic(field: WeightField, res: PassageResult,
     """Refuse when an off-geodesic edge lies on a path within tolerance of
     optimal; ``ds`` are the labels from the source."""
     grid = field.grid
-    dt = distances_from(field, res.target)
+    tol = TIE_TOL * max(1.0, res.distance)
+    # A path through an edge folds to at least its label from the target, so
+    # an edge past this limit (fact 1) has slack above tol either way.
+    dt = _solve(grid, field.weights, grid.vertex_index(res.target),
+                limit=(res.distance + tol) * (1.0 + MARGIN))
     tails, heads = grid._edge_arrays
     through = np.minimum(ds[tails] + field.weights + dt[heads],
                          ds[heads] + field.weights + dt[tails])
     slack = through - res.distance
     off_path = np.ones(grid.edge_count, dtype=bool)
     off_path[list(res.geodesic_edges)] = False
-    tol = TIE_TOL * max(1.0, res.distance)
     if np.any(slack[off_path] <= tol):
         raise GeodesicTieError("a second optimal path exists within tolerance")
 
@@ -338,12 +402,25 @@ def single_edge_response(field: WeightField, v: Sequence[int], e: int,
     origin = grid.vertex_index((0,) * grid.d)
     vi = grid.vertex_index(v)
     # Every y is finite and nonnegative (checked above), so each modified
-    # copy of the validated weights is itself a valid field.
+    # copy of the validated weights is itself a valid field.  Labels only
+    # rise with y (fact 1): every label below is at most the top one, and
+    # the curve is flat from the first point that reaches it.
     weights = field.weights.copy()
-    out = np.empty_like(ys)
-    for j, y in enumerate(ys):
-        weights[e] = y
-        out[j] = _solve(grid, weights, origin)[vi]
+    weights[e] = ys[-1]
+    top = _solve(grid, weights, origin)[vi]
+    bound = top * (1.0 + MARGIN)
+    weights[e] = 0.0
+    d0 = _solve(grid, weights, origin, limit=bound)
+    out = np.full_like(ys, top)
+    out[0] = d0[vi]
+    if out[0] < top and ys.size > 2:
+        # The y = 0 weights bound every y's from below (fact 2).
+        pruned = _prune(grid, d0, _solve(grid, weights, vi, limit=bound), weights, bound)
+        for j in range(1, ys.size - 1):
+            pruned[e] = ys[j]
+            out[j] = _solve(grid, pruned, origin, limit=bound)[vi]
+            if out[j] == top:
+                break
     intercept = float(out[0])
     plateau = float(out[-1])
     fitted = np.minimum(intercept + ys, plateau)

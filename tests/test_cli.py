@@ -147,6 +147,25 @@ class TestFpp:
         assert lines[0] == "y,distance"
         assert len(lines) == 12
 
+    @pytest.mark.parametrize("args, digest", [
+        (("--n", "8", "--seed", "1", "--edge", "610"),
+         "19a0447a0b313e3d95da33ed0d701fd8482bc9b5a1734c7d736ea518bd8f94f8"),
+        (("--n", "8", "--seed", "1", "--edge", "0"),
+         "e554906caf3a062588b18c762ffd328d416c3b0a8b26a2c497811ae86242867c"),
+        (("--n", "8", "--seed", "1", "--edge", "610", "--y-max", "0.2", "--grid-points", "11"),
+         "4a93a84c13f277eda694fa0c5a942ea014d051cb0619b3cd507613fac2d8314a"),
+        (("--n", "8", "--seed", "1", "--edge", "610", "--grid-points", "2"),
+         "e6c189d2cba12ba5dc50db8cb284ad2f8bbd4daf7570fb15ecf789c0afd05eed"),
+        (("--d", "3", "--n", "4", "--dist", "gamma:shape=2", "--seed", "7", "--edge", "19057"),
+         "770b0eb0d12c4fcacfd4befb874e26d207762e8671cd8f0b5b3c23d36f15ef0b"),
+    ], ids=["on-geodesic", "off-geodesic", "below-breakpoint", "two-points", "gamma-d3"])
+    def test_response_csv_golden(self, capsys, args, digest):
+        # Digests recorded with one full solve per grid point; edge 610 of the
+        # seed-1 field and edge 19057 of the d=3 field lie on the geodesic.
+        code, out, _ = run(capsys, "fpp", "response", *args)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_sweep_csv(self, capsys, tmp_path):
         out_file = tmp_path / "sweep.csv"
         code, out, _ = run(capsys, "fpp", "sweep", "--dist", "exp:rate=1",

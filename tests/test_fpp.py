@@ -1,9 +1,12 @@
+import collections
 import hashlib
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
@@ -62,6 +65,19 @@ def bellman_ford(grid: fpp.GridSpec, weights, src) -> list[float]:
                 dist[t] = dist[h] + w
                 changed = True
     return dist
+
+
+def oracle_labels(grid: fpp.GridSpec, weights: np.ndarray, src: int) -> np.ndarray:
+    """Labels from vertex index src by csgraph's undirected solve of an
+    upper-triangular matrix built here (each edge once, tail to head)."""
+    shape = (grid.vertex_count, grid.vertex_count)
+    upper = csr_matrix((weights, (grid.edge_tails, grid.edge_heads)), shape=shape)
+    return dijkstra(upper, directed=False, indices=src)
+
+
+def tie_heavy(rng, edges: int) -> np.ndarray:
+    """Weights in {0, 1, 2} * c: many equal-length paths, and zero weights."""
+    return rng.integers(0, 3, edges) * float(rng.choice([1.0, 0.1, 0.3, 1e-3, 7.0]))
 
 
 class TestGridSpec:
@@ -194,6 +210,28 @@ class TestWeightField:
         assert np.array_equal(f1.weights, f2.weights)
         assert np.all(f1.weights > 0)
         assert f1.provenance == ("exp:rate=1", 42)
+
+    def test_seed_sequence_provenance_rebuilds_the_field(self):
+        g = fpp.GridSpec(lo=(0, 0), hi=(3, 3))
+        for seed in (np.random.SeedSequence(7), np.random.SeedSequence((1, 8, 3)),
+                     np.random.SeedSequence((1, 8)).spawn(3)[2]):
+            field = fpp.field_from_distribution(g, "gamma:shape=2", seed)
+            name, (entropy, spawn_key) = field.provenance
+            assert name == "gamma:shape=2,rate=1"
+            assert spawn_key == tuple(seed.spawn_key)
+            again = np.random.SeedSequence(entropy, spawn_key=spawn_key)
+            assert np.array_equal(sample(parse_distribution(name), again, g.edge_count),
+                                  field.weights)
+        assert fpp.field_from_distribution(g, "exp:rate=1", np.uint32(5)).provenance == (
+            "exp:rate=1", 5)
+
+    @pytest.mark.parametrize("seed", [None, np.random.default_rng(1),
+                                      np.random.SeedSequence(1, pool_size=8)],
+                             ids=["none", "generator", "pool-size"])
+    def test_unrecordable_seed_rejected(self, seed):
+        g = fpp.GridSpec(lo=(0, 0), hi=(3, 3))
+        with pytest.raises(TypeError, match="seed"):
+            fpp.field_from_distribution(g, "exp:rate=1", seed)
 
 
 class TestPassageTime:
@@ -405,6 +443,40 @@ class TestEdgeDerivative:
                 agree += 1
         assert agree >= 99
 
+    def test_tie_verdicts_match_two_unlimited_solves(self):
+        # The reference tie check: labels from both ends by two unlimited
+        # solves of a matrix built here, and the same slack rule.  Jitter of
+        # a few TIE_TOL puts slacks on both sides of the tolerance.
+        rng = np.random.default_rng(31)
+        g = fpp.GridSpec(lo=(-1, -1), hi=(5, 3))
+        tails, heads = g.edge_tails, g.edge_heads
+        verdicts = collections.Counter()
+        for case in range(300):
+            w = tie_heavy(rng, g.edge_count)
+            w += rng.integers(0, 4, g.edge_count) * float(
+                rng.choice([0.0, 0.5, 1.0, 2.0, 1e3, 1e9])) * fpp.TIE_TOL
+            field = fpp.WeightField(grid=g, weights=w)
+            v = (int(rng.integers(0, 6)), int(rng.integers(-1, 4)))
+            res = fpp.passage_time(field, (0, 0), v)
+            if case % 2 and res.geodesic_edges:
+                e = int(rng.choice(res.geodesic_edges))
+            else:
+                e = int(rng.integers(g.edge_count))
+            ds = oracle_labels(g, w, g.vertex_index((0, 0)))
+            dt = oracle_labels(g, w, g.vertex_index(v))
+            slack = np.minimum(ds[tails] + w + dt[heads], ds[heads] + w + dt[tails]) - res.distance
+            off = np.ones(g.edge_count, dtype=bool)
+            off[list(res.geodesic_edges)] = False
+            tie = np.any(slack[off] <= fpp.TIE_TOL * max(1.0, res.distance))
+            want = "tie" if tie else int(e in res.geodesic_edges)
+            try:
+                got = fpp.edge_derivative(field, v, e)
+            except fpp.GeodesicTieError:
+                got = "tie"
+            assert got == want, case
+            verdicts[want] += 1
+        assert min(verdicts[k] for k in (0, 1, "tie")) >= 10, verdicts
+
     def test_unit_weights_refused(self):
         g = fpp.GridSpec(lo=(0, 0), hi=(4, 4))
         f = fpp.WeightField(grid=g, weights=np.ones(g.edge_count))
@@ -466,6 +538,112 @@ class TestSingleEdgeResponse:
         for bad in ([0.0, np.nan, 2.0], [0.0, 1.0, np.inf]):
             with pytest.raises(ValueError, match="finite"):
                 fpp.single_edge_response(field, (2, 2), 0, np.array(bad))
+
+
+class TestBoundedSolve:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), width=st.integers(2, 7),
+           height=st.integers(2, 6), kind=st.sampled_from(["exp", "ties", "holes"]),
+           at_label=st.booleans(), frac=st.floats(0.0, 1.2))
+    def test_limit_keeps_labels_at_most_L(self, seed, width, height, kind, at_label, frac):
+        g = fpp.GridSpec(lo=(0, 0), hi=(width - 1, height - 1))
+        rng = np.random.default_rng(seed)
+        w = tie_heavy(rng, g.edge_count) if kind == "ties" else rng.exponential(size=g.edge_count)
+        if kind == "holes":  # inf is an absent edge, as on a pruned field
+            w[rng.random(g.edge_count) < 0.3] = np.inf
+        src = int(rng.integers(g.vertex_count))
+        full = oracle_labels(g, w, src)
+        finite = full[np.isfinite(full)]
+        # Half the time L is a label itself, so the boundary case label == L shows.
+        limit = float(rng.choice(finite)) if at_label else frac * float(finite.max())
+        got = fpp._solve(g, w, src, limit=limit)
+        kept = full <= limit
+        assert got[kept].tobytes() == full[kept].tobytes()
+        assert np.all(got[~kept] == np.inf)
+
+
+class TestResponseOracle:
+    def test_matches_independent_solves(self):
+        # Every point against a csgraph solve of a matrix built here: bit for
+        # bit, on exponential, gamma and tie-heavy fields, on edges on and off
+        # the geodesic, and on grids that stop before or after the breakpoint.
+        rng = np.random.default_rng(10)
+        laws = [parse_distribution(s) for s in ("exp:rate=1", "gamma:shape=2", "uniform")]
+        seen = collections.Counter()
+        for case in range(240):
+            n = int(rng.integers(2, 7))
+            if case % 8 == 0:
+                g = fpp.GridSpec(lo=(-1, -1, -1), hi=(n + 1, 1, 1))
+            else:
+                g = fpp.GridSpec(lo=(-2, -2), hi=(n + 2, 2))
+            if case % 3 == 0:
+                w = tie_heavy(rng, g.edge_count)
+                seen["tie-heavy"] += 1
+            else:
+                w = sample(laws[case % 3], case, g.edge_count)
+            field = fpp.WeightField(grid=g, weights=w)
+            origin = g.vertex_index((0,) * g.d)
+            v = (n, int(rng.integers(-1, 2))) + (0,) * (g.d - 2)
+            vi = g.vertex_index(v)
+            geodesic = fpp.passage_time(field, (0,) * g.d, v).geodesic_edges
+            if case % 2:
+                e = int(rng.choice(geodesic))
+            else:
+                e = int(rng.integers(g.edge_count))
+            ys = np.linspace(0.0, float(rng.choice([0.01, 0.3, 2.0, 30.0])),
+                             int(rng.choice([2, 3, 11, 61])))
+            curve = fpp.single_edge_response(field, v, e, ys)
+            want = []
+            for y in list(ys) + [1e9]:
+                wy = w.copy()
+                wy[e] = y
+                want.append(oracle_labels(g, wy, origin)[vi])
+            plateau = want.pop()
+            assert curve.distances.tobytes() == np.array(want).tobytes()
+            seen["flat"] += want[-1] == want[0]
+            seen["below breakpoint"] += want[-1] < plateau
+            seen["plateau inside"] += want[0] < want[-2] == want[-1]
+            seen["two points"] += ys.size == 2
+        assert min(seen[k] for k in ("tie-heavy", "flat", "below breakpoint",
+                                     "plateau inside", "two points")) >= 10, seen
+
+    def test_points_just_below_the_breakpoint(self):
+        # Labels a few ulps under the plateau must not be taken for it.
+        g = fpp.GridSpec(lo=(-2, -2), hi=(7, 3))
+        origin, vi = g.vertex_index((0, 0)), g.vertex_index((5, 1))
+        for seed in range(20):
+            field = fpp.field_from_distribution(g, "exp:rate=1", seed)
+            e = fpp.passage_time(field, (0, 0), (5, 1)).geodesic_edges[seed % 4]
+            w = field.weights.copy()
+            w[e] = 0.0
+            b = oracle_labels(g, np.where(np.arange(g.edge_count) == e, 1e9, w), origin)[vi] - (
+                oracle_labels(g, w, origin)[vi])
+            ys = np.array([0.0, b / 2, b * (1 - 1e-12), b * (1 - 1e-15), b, 2 * b])
+            want = []
+            for y in ys:
+                w[e] = y
+                want.append(oracle_labels(g, w, origin)[vi])
+            got = fpp.single_edge_response(field, (5, 1), e, ys).distances
+            assert got.tobytes() == np.array(want).tobytes()
+
+    def test_solve_count(self, monkeypatch):
+        # A flat curve takes two solves; a rising one stops at the plateau,
+        # and every solve after the first carries a limit.
+        g = fpp.GridSpec(lo=(-4, -4), hi=(8, 6))
+        field = fpp.field_from_distribution(g, "exp:rate=1", 3)
+        limits = []
+        solve = fpp._solve
+        monkeypatch.setattr(fpp, "_solve",
+                            lambda *a, **k: limits.append(k.get("limit")) or solve(*a, **k))
+        ys = np.linspace(0.0, 30.0, 61)
+        fpp.single_edge_response(field, (5, 0), g.edge_index((-4, -4), 0), ys)
+        assert len(limits) == 2
+        e = fpp.passage_time(field, (0, 0), (5, 0)).geodesic_edges[2]
+        limits.clear()
+        curve = fpp.single_edge_response(field, (5, 0), e, ys)
+        assert curve.breakpoint > 0
+        assert 3 < len(limits) < 61
+        assert limits[0] is None and None not in limits[1:]
 
 
 class TestAveragedPassageTime:
