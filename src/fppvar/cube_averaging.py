@@ -106,12 +106,9 @@ def max_flip_rank_shift(m: int) -> int:
 
 
 def c1_constant(m: int) -> float:
-    """max over m' <= m of 2*C(m'^2, floor(m'^2/2)) * m' / 2^(m'^2)."""
-    best = 0.0
-    for mp in range(1, m + 1):
-        n = mp * mp
-        best = max(best, (2 * comb(n, n // 2) * mp) / (1 << n))
-    return best
+    """max over m' <= m of max_flip_rank_shift(m') * m' / 2^(m'^2)."""
+    return max((max_flip_rank_shift(mp) * mp / (1 << mp * mp) for mp in range(1, m + 1)),
+               default=0.0)
 
 
 def weight_boundaries(m: int) -> tuple[int, ...]:

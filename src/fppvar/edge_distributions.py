@@ -177,10 +177,14 @@ def _psi_at_level(dist: EdgeDistribution, p: np.ndarray, y: np.ndarray) -> np.nd
     """psi at y = Q(p), from the level p that produced y.
 
     The caller knows p, so neither cdf nor sf is evaluated; the value is as
-    accurate as the quantile that gave y.
+    accurate as the quantile that gave y.  Where y rounded onto an end of the
+    support at which the density is infinite, the value is psi's limit
+    there, 0.  Callers that need y strictly inside the support check it.
     """
-    _check_inside(dist, y)
-    return gaussian.pdf_at_quantile(p) / np.asarray(dist.pdf(y), dtype=float)
+    dens = np.asarray(dist.pdf(y), dtype=float)
+    if not np.all(dens > 0.0):
+        raise ValueError("the density must be positive at y")
+    return gaussian.pdf_at_quantile(p) / dens
 
 
 def psi(dist: EdgeDistribution, y):
@@ -317,6 +321,7 @@ def check_near_gamma_sufficient(dist: EdgeDistribution) -> NearGammaReport:
 def _direct_stats(dist: EdgeDistribution, m: int) -> tuple[float, float, int]:
     p = (np.arange(m) + 0.5) / m
     ys = dist._quantile(p)
+    _check_inside(dist, ys)
     psis = _psi_at_level(dist, p, ys)
     a_hat = float(np.max(psis / np.sqrt(ys)))
 

@@ -9,15 +9,13 @@ contract: a weight field is a pure function of (distribution spec, seed).
 
 Distances are csgraph Dijkstra labels (:func:`distances_from`), solved as a
 directed graph over a symmetric adjacency template that holds each edge in
-both directions, so csgraph builds no transpose per solve.  A geodesic
-is read back from them: from the target, the walk steps over the tight edge
-(far label + weight == near label, exact because csgraph adds the same
-floats) of smallest index whose far label is strictly smaller, so exact ties
-resolve to the smaller edge index (a measure-zero event for continuous
-weights).  Where zero or absorbed weights leave no such edge, it follows
-csgraph's predecessor tree.  Derivative-sensitive operations additionally
-*detect* near-ties between distinct geodesics and refuse, signalling the
-caller to redraw the field.
+both directions, so csgraph builds no transpose per solve.  The geodesic is
+the path to the target in csgraph's predecessor tree from the same solve
+(:func:`_tree_edges`).  For continuous weights it is the unique geodesic
+almost surely.  On exact ties it is whichever optimal path the tree holds,
+which is deterministic for a given field and scipy version.
+Derivative-sensitive operations additionally *detect* near-ties between
+distinct geodesics and refuse, signalling the caller to redraw the field.
 
 Two facts carry every bounded solve in the package.
 
@@ -138,10 +136,6 @@ class GridSpec:
             raise ValueError("vertices are not adjacent")
         return perm[slots[np.arange(len(slots)), hit.argmax(axis=1)]]
 
-    def _edge_between(self, a: int, b: int) -> int:
-        """Index of the edge joining the adjacent vertices a and b."""
-        return int(self._edges_between(np.array([a]), np.array([b]))[0])
-
     def edge_index(self, v: Sequence[int], axis: int) -> int:
         """Index of the positive-direction edge leaving v along axis."""
         if not (0 <= axis < self.d):
@@ -150,7 +144,8 @@ class GridSpec:
             raise ValueError("edge endpoint outside the box")
         head = list(v)
         head[axis] += 1
-        return self._edge_between(self.vertex_index(v), self.vertex_index(head))
+        a, b = self.vertex_index(v), self.vertex_index(head)
+        return int(self._edges_between(np.array([a]), np.array([b]))[0])
 
     def edge_endpoints(self, e: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         tails, heads = self._edge_arrays
@@ -274,7 +269,10 @@ def _prune(grid: GridSpec, d_src: np.ndarray, d_dst: np.ndarray,
 
 
 def _tree_edges(grid: GridSpec, pred: np.ndarray, source: int, target: int) -> np.ndarray:
-    """Edges of csgraph's predecessor tree path, from target back to source."""
+    """Edges of csgraph's predecessor tree path, from target back to source.
+
+    This is the geodesic of every passage query (module docstring), and the
+    bound path of the pruned sweep replicate."""
     chain = [target]
     for _ in range(grid.vertex_count):
         if chain[-1] == source:
@@ -297,37 +295,12 @@ def _passage(field: WeightField, u: Sequence[int],
     grid = field.grid
     ui = grid.vertex_index(u)
     vi = grid.vertex_index(v)
-    ds = distances_from(field, u)
-    tails, heads = grid._edge_arrays
-    w = field.weights
-    # into[x]: smallest-index tight edge from a strictly lower label into x.
-    missing = grid.edge_count
-    into = np.full(grid.vertex_count, missing, dtype=np.int64)
-    for near, far in ((heads, tails), (tails, heads)):
-        tight = np.flatnonzero((ds[far] + w == ds[near]) & (ds[far] < ds[near]))
-        np.minimum.at(into, near[tight], tight)
-    # Labels never increase along the walk and the fallback steps follow a
-    # tree, so the walk cannot cycle; the step bound turns a wrong edge into
-    # an error instead of an endless loop.
-    pred = None
-    edges = []
-    cur = vi
-    for _ in range(grid.vertex_count):
-        if cur == ui:
-            break
-        e = int(into[cur])
-        if e == missing:  # zero or absorbed weights: follow csgraph's tree
-            if pred is None:
-                pred = _solve(grid, w, ui, return_predecessors=True)[1]
-            e = grid._edge_between(cur, int(pred[cur]))
-        edges.append(e)
-        cur = int(tails[e] + heads[e]) - cur
-    else:
-        raise RuntimeError("geodesic walk did not reach the source")
+    ds, pred = _solve(grid, field.weights, ui, return_predecessors=True)
+    edges = _tree_edges(grid, pred, ui, vi)[::-1]
     distance = float(ds[vi])
-    if abs(float(w[edges].sum()) - distance) > 1e-9:
+    if abs(float(field.weights[edges].sum()) - distance) > 1e-9:
         raise RuntimeError("geodesic weight sum disagrees with the label")
-    return PassageResult(distance=distance, geodesic_edges=tuple(reversed(edges)),
+    return PassageResult(distance=distance, geodesic_edges=tuple(edges.tolist()),
                          source=tuple(u), target=tuple(v)), ds
 
 

@@ -21,7 +21,6 @@ from scipy.special import erfc, erfcx, ndtri
 
 SQRT2 = math.sqrt(2.0)
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
 
 LEGENDRE_HALF_WIDTH = 13.0  # Gaussian mass beyond is below 1e-37
@@ -51,13 +50,6 @@ def pdf(x):
     arr, scalar = _as_float_array(x)
     _validate_finite(arr, "x")
     return _ret(INV_SQRT_2PI * np.exp(-0.5 * arr * arr), scalar)
-
-
-def log_pdf(x):
-    """log of the density; safe where ``pdf`` would underflow."""
-    arr, scalar = _as_float_array(x)
-    _validate_finite(arr, "x")
-    return _ret(-0.5 * arr * arr - LOG_SQRT_2PI, scalar)
 
 
 def cdf(x):

@@ -166,6 +166,32 @@ class TestFpp:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("law, n, digest", [
+        ("exp:rate=1", 4, "d2d3c5d89ea9f88f5b3b7db33c429487f13b3528b74b665b10b8434819bb9956"),
+        ("exp:rate=1", 16, "65a7db63f54dd703fed8dbbd7146ab8b8977dd8b0f329676ab37eb4d4f270f7f"),
+        ("exp:rate=1", 64, "c563ad97b538ca044ecddca5ab5f992cc7fd522e0a26ecfd63024cfe8731a914"),
+        ("gamma:shape=2", 4, "992ecc89ac628ca3a979b7d5339a64e33f929bd22bf414cf809dac5fad5f799c"),
+        ("gamma:shape=2", 16, "1c0529e97c2af33af51a00c44f601cda1d0f6b044fed62995e5c2d4edaf793f8"),
+        ("gamma:shape=2", 64, "fa79c029d0dfabf47685accd57196386a0f995776f350102e9774add5310bec1"),
+        ("beta:a=0.5,b=0.5", 4, "35a7a9fafb2a8a7d0e0d3c4b0fe7efa4a7786afa1c5ee516c934f37816030dfa"),
+        ("beta:a=0.5,b=0.5", 16, "cf199b8341d4285fcf7233b00d9fd6cd1f8ad933230d651a7fabf94b47aab3db"),
+        ("beta:a=0.5,b=0.5", 64, "88c3f2b0eb1692a3546b56ffd0f0a5b863dfb6a7f0bc79707178d01d51fc4662"),
+        ("halfnormal", 4, "8628d83bc9becdde64d959cad8a3c71f5a01c0e5eb81bb9d7115d7b9f507fbe2"),
+        ("halfnormal", 16, "4dbf3f40a6a1ec0b6991397ffcbecd37b218c38081b463abc971d8d5a1012a61"),
+        ("halfnormal", 64, "3c2cb35d51b0beecd36e026afcc53caacbba9d5beaaf4d517c38eb5faf7aa603"),
+    ])
+    def test_run_json_golden(self, capsys, law, n, digest):
+        # The run JSON of seeds 0-2, concatenated.  Under continuous laws the
+        # geodesic is unique, so these bytes do not depend on how exact ties
+        # between optimal paths are broken.
+        out = ""
+        for seed in ("0", "1", "2"):
+            code, text, _ = run(capsys, "fpp", "run", "--n", str(n), "--dist", law,
+                                "--seed", seed)
+            assert code == 0
+            out += text
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_sweep_csv(self, capsys, tmp_path):
         out_file = tmp_path / "sweep.csv"
         code, out, _ = run(capsys, "fpp", "sweep", "--dist", "exp:rate=1",

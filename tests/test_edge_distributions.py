@@ -349,15 +349,16 @@ class TestPsiOracle:
         # y holds the exact quantile only to half an ulp, which moves h(y) by
         # up to |y h'/h| 2^-53 relative: in the tails that bounds the error,
         # 4.5e-5 for beta(0.5, 0.5) at 1 - 1e-6, where 1 - y is 2.5e-12
-        # (measured 8.4e-6); elsewhere measured at most 1e-13.
+        # (measured 8.4e-6); elsewhere measured at most 1e-13.  Where y rounds
+        # onto an end of the support (beta(0.5, 0.5) at 1 - 1e-12), the
+        # density there is infinite and the value is psi's limit, 0.
         dist = ed.parse_distribution(spec)
         for p in ORACLE_LEVELS:
             y, want, cond = _oracle(spec, p)
-            if not dist.lo < y < dist.hi:
-                with pytest.raises(ValueError):
-                    ed._psi_at_level(dist, np.array([p]), np.array([y]))
-                continue
             got = ed._psi_at_level(dist, np.array([p]), np.array([y]))[0]
+            if not dist.lo < y < dist.hi:
+                assert got == 0.0 and want == pytest.approx(0.0, abs=1e-20), p
+                continue
             bound = 1e-12 + (0.0 if p in BULK else cond * 2.0 ** -52)
             assert got == pytest.approx(want, rel=bound), p
 

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 
 from fppvar import gaussian as G
 from fppvar import poincare as P
-from fppvar.edge_distributions import exponential, uniform_family
+from fppvar.edge_distributions import _uniforms, beta_family, exponential, uniform_family
 from fppvar.phi import phi
 
 RULE = G.hermite_rule(64)
@@ -287,4 +287,13 @@ class TestChangeOfVariables:
                                            uniform_family(), samples=2000, seed=0)
         assert rep.lhs_variance == pytest.approx(0.0, abs=1e-12)
         assert rep.rhs_total == pytest.approx(0.0, abs=1e-12)
+        assert rep.passed
+
+    def test_draw_rounded_onto_infinite_density_end(self):
+        # Seed 5002 draws a level above 1 - 6.7e-9, whose beta(0.5, 0.5)
+        # quantile rounds to the support end 1.0, where the density is
+        # infinite; psi's limit there is 0.
+        dist = beta_family(0.5, 0.5)
+        assert np.any(dist._quantile(_uniforms(5002, 20_000)) == 1.0)
+        rep = P.verify_change_of_variables(np.sin, np.cos, dist, 20_000, 5002)
         assert rep.passed
