@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy import stats
+from scipy import special, stats
 
 from . import gaussian
 
@@ -135,10 +135,28 @@ def chi2_family(k: float = 2.0, alpha: float = 0.5) -> EdgeDistribution:
                             dist=stats.gamma(a=k / 2.0, scale=1.0 / alpha))
 
 
+class _HalfNormal(type(stats.halfnorm)):
+    """scipy's half-normal law with a quantile accurate in both tails.
+
+    scipy's ndtri((1 + p) / 2) rounds 1 + p, so its relative error grows
+    like 1e-16 / p as p falls to 0 and like 1e-16 / (1 - p) as p rises to 1.
+    sqrt(2) erfinv(p) keeps full accuracy for p <= 1/2, and above 1/2 the
+    difference 1 - p is exact, so -ndtri((1 - p) / 2) does too."""
+
+    def _ppf(self, p):
+        # Both branches run on every level; clamping keeps the unused one in
+        # its cheap range.
+        return np.where(p <= 0.5, math.sqrt(2.0) * special.erfinv(np.minimum(p, 0.5)),
+                        -special.ndtri((1.0 - np.maximum(p, 0.5)) / 2.0))
+
+
+_HALF_NORMAL = _HalfNormal(a=0.0, name="halfnorm")
+
+
 def half_normal() -> EdgeDistribution:
     return EdgeDistribution(name="halfnormal", lo=0.0, hi=math.inf,
                             left_exponent=0.0, right_exponent=None,
-                            dist=stats.halfnorm())
+                            dist=_HALF_NORMAL())
 
 
 _FAMILIES = {
@@ -211,7 +229,7 @@ def psi(dist: EdgeDistribution, y):
 
 # The levels a draw can take: u == 0 occurs with probability 2^-53 and would
 # land on the support endpoint, and so would u == 1 - 2^-53 for a quantile
-# that rounds 1 + u to 2 (halfnormal's ndtri((1 + u) / 2)).
+# that rounds 1 + u to 2 (scipy's halfnormal ndtri((1 + u) / 2)).
 _U_LO = 2.0 ** -52
 _U_HI = 1.0 - 2.0 ** -52
 
@@ -326,7 +344,7 @@ def _direct_stats(dist: EdgeDistribution, m: int) -> tuple[float, float, int]:
     a_hat = float(np.max(psis / np.sqrt(ys)))
 
     a_grid = np.geomspace(1e-4, 1e-1, 13)
-    frac = np.array([np.mean(psis <= a) for a in a_grid])
+    frac = np.count_nonzero(a_grid[:, None] >= psis, axis=1) / psis.size
     keep = frac > 0.0
     if keep.sum() >= 4:
         slope = float(np.polyfit(np.log(a_grid[keep]), np.log(frac[keep]), 1)[0])

@@ -183,7 +183,8 @@ def _pruned_value(ss) -> float:
     u = _uniforms(ss, grid.edge_count)
     lower = tab[(u * TABLE_SIZE).astype(np.intp)]
     d0, pred = fpp._solve(grid, lower, src, return_predecessors=True)
-    path = fpp._tree_edges(grid, pred, src, dst)
+    chain = fpp._tree_path(grid, pred, src, dst)
+    path = grid._edges_between(chain[:-1], chain[1:])
     t_ub = float(_exact(dist, u, lower, path).sum()) * (1.0 + fpp.MARGIN)
     dv = fpp._solve(grid, lower, dst, limit=t_ub)
     weights = fpp._prune(grid, d0, dv, lower, t_ub)

@@ -11,13 +11,13 @@ Distances are csgraph Dijkstra labels (:func:`distances_from`), solved as a
 directed graph over a symmetric adjacency template that holds each edge in
 both directions, so csgraph builds no transpose per solve.  The geodesic is
 the path to the target in csgraph's predecessor tree from the same solve
-(:func:`_tree_edges`).  For continuous weights it is the unique geodesic
+(:func:`_tree_path`).  For continuous weights it is the unique geodesic
 almost surely.  On exact ties it is whichever optimal path the tree holds,
 which is deterministic for a given field and scipy version.
 Derivative-sensitive operations additionally *detect* near-ties between
-distinct geodesics and refuse, signalling the caller to redraw the field.
+distinct geodesics (fact 3) and refuse, signalling a redraw of the field.
 
-Two facts carry every bounded solve in the package.
+Two facts carry every bounded solve in the package, and a third the tie check.
 
 1. *Labels.*  A csgraph label is the minimum, over paths, of the left-fold
    float sum of the path's weights: Dijkstra settles labels in order, and
@@ -39,6 +39,14 @@ Two facts carry every bounded solve in the package.
    and the minimum fold over the kept paths is T itself.  MARGIN = 1e-9
    dwarfs these ~1e-12, so B = (1 + MARGIN) X will do when X is at least T,
    or is any float sum of w along a path from s to t.
+3. *Reduced costs* (:func:`edge_derivative`).  Edge e entering b from a
+   has reduced cost d_s[a] + w_e - d_s[b].  Exactly, these are nonnegative
+   and sum along a walk from s to t to its excess over T.  So a walk from s
+   to t through an edge off the geodesic g comes within tol of T iff an
+   edge off g entering a vertex of g costs at most tol: the walk's last
+   edge off g enters g; conversely, the tree path to a, then e, then g from
+   b has excess e's reduced cost.  In float fl(d_s[a] + w_e) >= d_s[b]
+   exactly (fact 1), so no computed reduced cost is negative.
 """
 
 from __future__ import annotations
@@ -54,8 +62,7 @@ from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 from .edge_distributions import EdgeDistribution, parse_distribution, sample
 
 TIE_TOL = 1e-12
-# Relative margin of a bounded solve's limit over the label it must keep
-# (module docstring, fact 2).
+# Relative margin of a bounded solve's limit over its label (module docstring, fact 2).
 MARGIN = 1e-9
 
 
@@ -124,13 +131,15 @@ class GridSpec:
     def edge_heads(self) -> np.ndarray:
         return self._edge_arrays[1]
 
+    def _row_slots(self, a: np.ndarray) -> np.ndarray:
+        """Template data slots of the rows a[i], 2d each; past a row's end, its last."""
+        indptr = self._csr_template[0]
+        return np.minimum(indptr[a][:, None] + np.arange(2 * self.d), indptr[a + 1][:, None] - 1)
+
     def _edges_between(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Indices of the edges joining the adjacent vertices a[i] and b[i]."""
-        indptr, indices, perm = self._csr_template
-        # A row holds at most 2d neighbours: look at that many slots from the
-        # row start, clipped to the row's last slot.
-        slots = np.minimum(indptr[a][:, None] + np.arange(2 * self.d),
-                           indptr[a + 1][:, None] - 1)
+        _, indices, perm = self._csr_template
+        slots = self._row_slots(a)
         hit = indices[slots] == b[:, None]
         if not hit.any(axis=1).all():
             raise ValueError("vertices are not adjacent")
@@ -247,12 +256,8 @@ def _solve(grid: GridSpec, weights: np.ndarray, source: int, **options):
     """csgraph Dijkstra from vertex index ``source`` under edge ``weights``
     (unchecked; ``inf`` is an absent edge), with csgraph's ``limit`` and
     ``return_predecessors`` passed through.  Every solve in the package runs
-    here, on the grid's one matrix, so solves must not interleave.
-
-    A label is the minimum over paths of the left-fold float sum of their
-    weights, so it never decreases when a weight grows, and ``limit=L``
-    leaves every label at most L bit-identical and sets the rest to ``inf``
-    (module docstring, fact 1)."""
+    here, on the grid's one matrix, so solves must not interleave.  Labels
+    are minimum left folds, and ``limit`` keeps their bits (fact 1)."""
     mat = grid._csr_matrix
     # perm is in range; mode="raise" would gather through a buffer copy.
     np.take(weights, grid._csr_template[2], out=mat.data, mode="wrap")
@@ -268,20 +273,15 @@ def _prune(grid: GridSpec, d_src: np.ndarray, d_dst: np.ndarray,
     return np.where(through <= bound, weights, np.inf)
 
 
-def _tree_edges(grid: GridSpec, pred: np.ndarray, source: int, target: int) -> np.ndarray:
-    """Edges of csgraph's predecessor tree path, from target back to source.
-
-    This is the geodesic of every passage query (module docstring), and the
-    bound path of the pruned sweep replicate."""
+def _tree_path(grid: GridSpec, pred: np.ndarray, source: int, target: int) -> np.ndarray:
+    """Vertices of csgraph's predecessor tree path, from target back to source:
+    the geodesic of every passage query and the pruned replicate's bound path."""
     chain = [target]
     for _ in range(grid.vertex_count):
         if chain[-1] == source:
-            break
+            return np.array(chain)
         chain.append(int(pred[chain[-1]]))
-    else:
-        raise RuntimeError("predecessor walk did not reach the source")
-    chain = np.array(chain)
-    return grid._edges_between(chain[:-1], chain[1:])
+    raise RuntimeError("predecessor walk did not reach the source")
 
 
 def distances_from(field: WeightField, u: Sequence[int]) -> np.ndarray:
@@ -290,18 +290,20 @@ def distances_from(field: WeightField, u: Sequence[int]) -> np.ndarray:
 
 
 def _passage(field: WeightField, u: Sequence[int],
-             v: Sequence[int]) -> tuple[PassageResult, np.ndarray]:
-    """The passage result from u to v and the labels from u it was read from."""
+             v: Sequence[int]) -> tuple[PassageResult, np.ndarray, np.ndarray]:
+    """The passage result from u to v, the labels from u and the geodesic's
+    vertices from u.  Dijkstra sets a label to its tree parent's plus the edge
+    weight, so the label at v must be the left fold of the path's weights."""
     grid = field.grid
-    ui = grid.vertex_index(u)
-    vi = grid.vertex_index(v)
+    ui, vi = grid.vertex_index(u), grid.vertex_index(v)
     ds, pred = _solve(grid, field.weights, ui, return_predecessors=True)
-    edges = _tree_edges(grid, pred, ui, vi)[::-1]
-    distance = float(ds[vi])
-    if abs(float(field.weights[edges].sum()) - distance) > 1e-9:
-        raise RuntimeError("geodesic weight sum disagrees with the label")
-    return PassageResult(distance=distance, geodesic_edges=tuple(edges.tolist()),
-                         source=tuple(u), target=tuple(v)), ds
+    chain = _tree_path(grid, pred, ui, vi)[::-1]
+    edges = grid._edges_between(chain[:-1], chain[1:])
+    fold = np.add.accumulate(field.weights[edges])
+    if (fold[-1] if edges.size else 0.0) != ds[vi]:
+        raise RuntimeError("geodesic weight fold disagrees with the label")
+    return PassageResult(distance=float(ds[vi]), geodesic_edges=tuple(edges.tolist()),
+                         source=tuple(u), target=tuple(v)), ds, chain
 
 
 def passage_time(field: WeightField, u: Sequence[int], v: Sequence[int]) -> PassageResult:
@@ -309,39 +311,31 @@ def passage_time(field: WeightField, u: Sequence[int], v: Sequence[int]) -> Pass
     return _passage(field, u, v)[0]
 
 
-def _assert_unique_geodesic(field: WeightField, res: PassageResult,
-                            ds: np.ndarray) -> None:
-    """Refuse when an off-geodesic edge lies on a path within tolerance of
-    optimal; ``ds`` are the labels from the source."""
-    grid = field.grid
-    tol = TIE_TOL * max(1.0, res.distance)
-    # A path through an edge folds to at least its label from the target, so
-    # an edge past this limit (fact 1) has slack above tol either way.
-    dt = _solve(grid, field.weights, grid.vertex_index(res.target),
-                limit=(res.distance + tol) * (1.0 + MARGIN))
-    tails, heads = grid._edge_arrays
-    through = np.minimum(ds[tails] + field.weights + dt[heads],
-                         ds[heads] + field.weights + dt[tails])
-    slack = through - res.distance
-    off_path = np.ones(grid.edge_count, dtype=bool)
-    off_path[list(res.geodesic_edges)] = False
-    if np.any(slack[off_path] <= tol):
-        raise GeodesicTieError("a second optimal path exists within tolerance")
-
-
 def edge_derivative(field: WeightField, v: Sequence[int], e: int) -> int:
     """1 if edge e lies on the unique geodesic from the origin to v, else 0.
 
-    Raises :class:`GeodesicTieError` when geodesic uniqueness cannot be
-    certified (e.g. degenerate equal-weight fields).
+    One solve: its labels also certify uniqueness (module docstring, fact 3).
+    Raises :class:`GeodesicTieError`, naming the edge, when an edge off the
+    geodesic enters it with reduced cost at most tol = TIE_TOL * max(1, T).
     """
     grid = field.grid
     if not (0 <= e < grid.edge_count):
         raise ValueError("edge index out of range")
-    origin = tuple(0 for _ in range(grid.d))
-    res, ds = _passage(field, origin, v)
-    _assert_unique_geodesic(field, res, ds)
-    return 1 if e in res.geodesic_edges else 0
+    res, ds, at = _passage(field, (0,) * grid.d, v)
+    tol = TIE_TOL * max(1.0, res.distance)
+    _, indices, perm = grid._csr_template
+    slots = grid._row_slots(at)
+    edges = perm[slots]
+    reduced = (ds[indices[slots]] + field.weights[edges]) - ds[at][:, None]
+    # Vertex at[i] of the geodesic meets its edges i - 1 and i, if they exist.
+    pad = np.concatenate(([-1], res.geodesic_edges, [-1]))
+    near = np.argwhere((reduced <= tol) & (edges != pad[:-1, None]) & (edges != pad[1:, None]))
+    if near.size:
+        i, j = near[0]
+        raise GeodesicTieError(f"edge {edges[i, j]} enters the geodesic at "
+                               f"{grid.vertex_coords(at[i])} with reduced cost "
+                               f"{reduced[i, j]:.3e} <= tol {tol:.3e}")
+    return int(e in res.geodesic_edges)
 
 
 @dataclass(frozen=True)

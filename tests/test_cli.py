@@ -139,6 +139,17 @@ class TestFpp:
         assert rep["target"] == [4, 0]
         assert rep["distance"] > 0
 
+    def test_run_large_scale_law(self, capsys):
+        # Weights near 1e6: the distance is about 3e7, and the geodesic's
+        # weights fold to it exactly, so no absolute tolerance may refuse it.
+        code, out, err = run(capsys, "fpp", "run", "--n", "64", "--dist", "exp:rate=1e-6",
+                             "--seed", "0")
+        assert code == 0, err
+        rep = json.loads(out)
+        assert rep["target"] == [64, 0]
+        assert 64e6 / 4 < rep["distance"] < 64e6 * 4
+        assert len(rep["geodesic_edges"]) >= 64
+
     def test_response_csv(self, capsys):
         code, out, _ = run(capsys, "fpp", "response", "--n", "3", "--seed", "1",
                            "--edge", "5", "--y-max", "10", "--grid-points", "11")
@@ -176,9 +187,9 @@ class TestFpp:
         ("beta:a=0.5,b=0.5", 4, "35a7a9fafb2a8a7d0e0d3c4b0fe7efa4a7786afa1c5ee516c934f37816030dfa"),
         ("beta:a=0.5,b=0.5", 16, "cf199b8341d4285fcf7233b00d9fd6cd1f8ad933230d651a7fabf94b47aab3db"),
         ("beta:a=0.5,b=0.5", 64, "88c3f2b0eb1692a3546b56ffd0f0a5b863dfb6a7f0bc79707178d01d51fc4662"),
-        ("halfnormal", 4, "8628d83bc9becdde64d959cad8a3c71f5a01c0e5eb81bb9d7115d7b9f507fbe2"),
-        ("halfnormal", 16, "4dbf3f40a6a1ec0b6991397ffcbecd37b218c38081b463abc971d8d5a1012a61"),
-        ("halfnormal", 64, "3c2cb35d51b0beecd36e026afcc53caacbba9d5beaaf4d517c38eb5faf7aa603"),
+        ("halfnormal", 4, "3ec84ff4d7b5aadd5209ddd4c1700465c648cb69499fe722cf8c79585444af65"),
+        ("halfnormal", 16, "9568326b94036a8dc59ccfaf7dc3fec0dd8d5713450efea0d157635591b0a3b6"),
+        ("halfnormal", 64, "0ae787ae0cd539f8d2ee54c730c99c461a3820b407cc659b3edf4cd866c650e6"),
     ])
     def test_run_json_golden(self, capsys, law, n, digest):
         # The run JSON of seeds 0-2, concatenated.  Under continuous laws the

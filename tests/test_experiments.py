@@ -232,7 +232,7 @@ class TestPrunedReplicate:
 
     def test_half_normal_top_quantile_is_finite(self, force_pruned):
         # Draws stop at 1 - 2^-52: at 1 - 2^-53, (1 + u) / 2 rounds to 1 in
-        # halfnormal's ndtri((1 + u) / 2), which is inf.
+        # scipy's halfnormal ndtri((1 + u) / 2), which is inf.
         assert ex._lower_table(half_normal())[0] is not None
         check_pruned_replicates(half_normal(), 2, 4, 0, 4)
 

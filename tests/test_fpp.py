@@ -1,7 +1,10 @@
 import collections
 import hashlib
+import heapq
 import itertools
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -78,6 +81,57 @@ def oracle_labels(grid: fpp.GridSpec, weights: np.ndarray, src: int) -> np.ndarr
 def tie_heavy(rng, edges: int) -> np.ndarray:
     """Weights in {0, 1, 2} * c: many equal-length paths, and zero weights."""
     return rng.integers(0, 3, edges) * float(rng.choice([1.0, 0.1, 0.3, 1e-3, 7.0]))
+
+
+def jittered_tie_cases(seed: int, count: int):
+    """(field, target, edge) on the 7x5 box: tie-heavy weights plus a jitter
+    of a few TIE_TOL, which puts slacks on both sides of the tolerance; every
+    other edge is drawn from the geodesic."""
+    rng = np.random.default_rng(seed)
+    g = fpp.GridSpec(lo=(-1, -1), hi=(5, 3))
+    for case in range(count):
+        w = tie_heavy(rng, g.edge_count)
+        w += rng.integers(0, 4, g.edge_count) * float(
+            rng.choice([0.0, 0.5, 1.0, 2.0, 1e3, 1e9])) * fpp.TIE_TOL
+        field = fpp.WeightField(grid=g, weights=w)
+        v = (int(rng.integers(0, 6)), int(rng.integers(-1, 4)))
+        path = fpp.passage_time(field, (0, 0), v).geodesic_edges
+        if case % 2 and path:
+            e = int(rng.choice(path))
+        else:
+            e = int(rng.integers(g.edge_count))
+        yield field, v, e
+
+
+def derivative_verdict(field, v, e):
+    try:
+        return fpp.edge_derivative(field, v, e)
+    except fpp.GeodesicTieError:
+        return "tie"
+
+
+def exact_labels(grid: fpp.GridSpec, weights: np.ndarray, src: int) -> list[Fraction]:
+    """Exact distances from vertex index src: Dijkstra over Fractions, which
+    hold every double weight exactly."""
+    adj = adjacency(grid)
+    exact = [Fraction(x) for x in weights.tolist()]
+    dist: list = [None] * grid.vertex_count
+    heap = [(Fraction(0), src)]
+    while heap:
+        d, a = heapq.heappop(heap)
+        if dist[a] is None:
+            dist[a] = d
+            for b, e in adj[a]:
+                heapq.heappush(heap, (d + exact[e], b))
+    return dist
+
+
+def counting_solves(monkeypatch) -> list:
+    """Patch fpp._solve to record each call's options; return the record."""
+    calls = []
+    solve = fpp._solve
+    monkeypatch.setattr(fpp, "_solve", lambda *a, **k: calls.append(k) or solve(*a, **k))
+    return calls
 
 
 class TestGridSpec:
@@ -267,6 +321,30 @@ class TestPassageTime:
             assert sum(field.weights[e] for e in res.geodesic_edges) == pytest.approx(
                 res.distance, abs=1e-9)
 
+    @pytest.mark.parametrize("law, seeds", [("exp:rate=1e-6", range(20)),
+                                             ("uniform:lo=0,hi=1e5", range(5)),
+                                             ("exp:rate=1e6", range(5))])
+    def test_large_and_small_scale_laws(self, law, seeds):
+        # The label is the left fold of the tree path's weights from 0, bit
+        # for bit, at any scale; an absolute tolerance on a pairwise sum
+        # refused most n=64 fields of exp:rate=1e-6.
+        g = box_for_target(2, 64)
+        for seed in seeds:
+            field = fpp.field_from_distribution(g, law, seed)
+            res = fpp.passage_time(field, (0, 0), (64, 0))
+            fold = 0.0
+            for e in res.geodesic_edges:
+                fold += float(field.weights[e])
+            assert res.distance == fold == oracle_labels(g, field.weights, g.vertex_index((0, 0)))[
+                g.vertex_index((64, 0))]
+
+    def test_one_solve(self, monkeypatch):
+        g = fpp.GridSpec(lo=(-2, -2), hi=(6, 6))
+        field = fpp.field_from_distribution(g, "exp:rate=1", 3)
+        calls = counting_solves(monkeypatch)
+        fpp.passage_time(field, (0, 0), (5, 4))
+        assert len(calls) == 1
+
     def test_geodesic_is_connected_path(self):
         g = fpp.GridSpec(lo=(0, 0), hi=(5, 5))
         field = fpp.field_from_distribution(g, "exp:rate=1", 9)
@@ -384,7 +462,9 @@ class TestPassageTime:
         w = sample(exponential(), 4, grid.edge_count)
         src, dst = 0, grid.vertex_count - 1
         ds, pred = fpp._solve(grid, w, src, return_predecessors=True)
-        edges = fpp._tree_edges(grid, pred, src, dst)
+        chain = fpp._tree_path(grid, pred, src, dst)
+        assert chain[0] == dst and chain[-1] == src
+        edges = grid._edges_between(chain[:-1], chain[1:])
         cur = dst
         for e in edges.tolist():
             t, h = int(grid.edge_tails[e]), int(grid.edge_heads[e])
@@ -395,7 +475,7 @@ class TestPassageTime:
         # A predecessor cycle that never reaches the source is an error.
         pred[dst], pred[dst - 1] = dst - 1, dst
         with pytest.raises(RuntimeError, match="did not reach the source"):
-            fpp._tree_edges(grid, pred, src, dst)
+            fpp._tree_path(grid, pred, src, dst)
 
     def test_out_of_box_rejected(self):
         g = fpp.GridSpec(lo=(0, 0), hi=(2, 2))
@@ -443,38 +523,90 @@ class TestEdgeDerivative:
         assert agree >= 99
 
     def test_tie_verdicts_match_two_unlimited_solves(self):
-        # The reference tie check: labels from both ends by two unlimited
-        # solves of a matrix built here, and the same slack rule.  Jitter of
-        # a few TIE_TOL puts slacks on both sides of the tolerance.
-        rng = np.random.default_rng(31)
-        g = fpp.GridSpec(lo=(-1, -1), hi=(5, 3))
-        tails, heads = g.edge_tails, g.edge_heads
+        # The reference: the documented tie rule (module docstring, fact 3)
+        # on labels from an unlimited solve of a matrix built here.  Refuse
+        # when an edge off the geodesic enters one of its vertices b from a
+        # with (ds[a] + w) - ds[b] <= tol.  This rule differs from the
+        # two-sided slack rule on labels from both ends only where rounding
+        # decides (see the exact-arithmetic test below).
         verdicts = collections.Counter()
-        for case in range(300):
-            w = tie_heavy(rng, g.edge_count)
-            w += rng.integers(0, 4, g.edge_count) * float(
-                rng.choice([0.0, 0.5, 1.0, 2.0, 1e3, 1e9])) * fpp.TIE_TOL
-            field = fpp.WeightField(grid=g, weights=w)
-            v = (int(rng.integers(0, 6)), int(rng.integers(-1, 4)))
+        for case, (field, v, e) in enumerate(jittered_tie_cases(31, 300)):
+            g, w = field.grid, field.weights
             res = fpp.passage_time(field, (0, 0), v)
-            if case % 2 and res.geodesic_edges:
-                e = int(rng.choice(res.geodesic_edges))
-            else:
-                e = int(rng.integers(g.edge_count))
             ds = oracle_labels(g, w, g.vertex_index((0, 0)))
-            dt = oracle_labels(g, w, g.vertex_index(v))
-            slack = np.minimum(ds[tails] + w + dt[heads], ds[heads] + w + dt[tails]) - res.distance
-            off = np.ones(g.edge_count, dtype=bool)
-            off[list(res.geodesic_edges)] = False
-            tie = np.any(slack[off] <= fpp.TIE_TOL * max(1.0, res.distance))
+            tol = fpp.TIE_TOL * max(1.0, res.distance)
+            on = {g.vertex_index((0, 0))}
+            for k in res.geodesic_edges:
+                on |= {int(g.edge_tails[k]), int(g.edge_heads[k])}
+            tie = False
+            for k, (t, h) in enumerate(zip(g.edge_tails.tolist(), g.edge_heads.tolist())):
+                if k not in res.geodesic_edges:
+                    tie |= any(b in on and (ds[a] + w[k]) - ds[b] <= tol
+                               for a, b in ((t, h), (h, t)))
             want = "tie" if tie else int(e in res.geodesic_edges)
-            try:
-                got = fpp.edge_derivative(field, v, e)
-            except fpp.GeodesicTieError:
-                got = "tie"
-            assert got == want, case
+            assert derivative_verdict(field, v, e) == want, case
             verdicts[want] += 1
         assert min(verdicts[k] for k in (0, 1, "tie")) >= 10, verdicts
+
+    def test_tie_verdicts_match_exact_arithmetic(self):
+        # The two-sided slack rule in exact arithmetic: labels from both ends
+        # over Fractions, and a refusal when an edge off the geodesic lies on
+        # a walk within tol of T.  Rounding decides the cases whose slack is
+        # within 1e-3 tol of tol; they are counted, not compared (8 of 300).
+        verdicts = collections.Counter()
+        in_band = 0
+        for case, (field, v, e) in enumerate(jittered_tie_cases(37, 300)):
+            g, w = field.grid, field.weights
+            res = fpp.passage_time(field, (0, 0), v)
+            ds = exact_labels(g, w, g.vertex_index((0, 0)))
+            dt = exact_labels(g, w, g.vertex_index(v))
+            t_exact = ds[g.vertex_index(v)]
+            slack = min(min(ds[t] + Fraction(w[k]) + dt[h], ds[h] + Fraction(w[k]) + dt[t])
+                        for k, (t, h) in enumerate(zip(g.edge_tails.tolist(),
+                                                       g.edge_heads.tolist()))
+                        if k not in res.geodesic_edges) - t_exact
+            tol = Fraction(fpp.TIE_TOL * max(1.0, res.distance))
+            if abs(slack - tol) <= tol / 1000:
+                in_band += 1
+                continue
+            want = "tie" if slack <= tol else int(e in res.geodesic_edges)
+            assert derivative_verdict(field, v, e) == want, case
+            verdicts[want] += 1
+        assert in_band <= 15, in_band
+        assert min(verdicts[k] for k in (0, 1, "tie")) >= 10, verdicts
+
+    def test_tie_error_names_the_entering_edge(self):
+        g = fpp.GridSpec(lo=(0, 0), hi=(4, 4))
+        w = np.ones(g.edge_count)
+        field = fpp.WeightField(grid=g, weights=w)
+        res = fpp.passage_time(field, (0, 0), (3, 3))
+        with pytest.raises(fpp.GeodesicTieError) as info:
+            fpp.edge_derivative(field, (3, 3), 0)
+        m = re.fullmatch(r"edge (\d+) enters the geodesic at \((\d+), (\d+)\) with "
+                         r"reduced cost (\S+) <= tol (\S+)", str(info.value))
+        assert m, str(info.value)
+        k, b = int(m[1]), (int(m[2]), int(m[3]))
+        assert k not in res.geodesic_edges and b in g.edge_endpoints(k)
+        on = {p for j in res.geodesic_edges for p in g.edge_endpoints(j)}
+        assert b in on
+        a = next(p for p in g.edge_endpoints(k) if p != b)
+        ds = oracle_labels(g, w, g.vertex_index((0, 0)))
+        reduced = (ds[g.vertex_index(a)] + w[k]) - ds[g.vertex_index(b)]
+        assert float(m[4]) == pytest.approx(reduced, rel=1e-3) and reduced <= fpp.TIE_TOL * 6
+        assert float(m[5]) == pytest.approx(fpp.TIE_TOL * res.distance, rel=1e-3)
+
+    def test_one_solve(self, monkeypatch):
+        # The tie check reads the passage solve's labels: one solve per call,
+        # whether the verdict is 0, 1 or a refusal.
+        g = fpp.GridSpec(lo=(-2, -2), hi=(8, 6))
+        field = fpp.field_from_distribution(g, "exp:rate=1", 5)
+        on = fpp.passage_time(field, (0, 0), (5, 2)).geodesic_edges[1]
+        flat = fpp.WeightField(grid=g, weights=np.ones(g.edge_count))
+        calls = counting_solves(monkeypatch)
+        for f, e, want in ((field, on, 1), (field, g.edge_index((-2, -2), 0), 0), (flat, 0, "tie")):
+            calls.clear()
+            assert derivative_verdict(f, (5, 2), e) == want
+            assert len(calls) == 1
 
     def test_unit_weights_refused(self):
         g = fpp.GridSpec(lo=(0, 0), hi=(4, 4))
@@ -630,16 +762,14 @@ class TestResponseOracle:
         # and every solve after the first carries a limit.
         g = fpp.GridSpec(lo=(-4, -4), hi=(8, 6))
         field = fpp.field_from_distribution(g, "exp:rate=1", 3)
-        limits = []
-        solve = fpp._solve
-        monkeypatch.setattr(fpp, "_solve",
-                            lambda *a, **k: limits.append(k.get("limit")) or solve(*a, **k))
+        calls = counting_solves(monkeypatch)
         ys = np.linspace(0.0, 30.0, 61)
         fpp.single_edge_response(field, (5, 0), g.edge_index((-4, -4), 0), ys)
-        assert len(limits) == 2
+        assert len(calls) == 2
         e = fpp.passage_time(field, (0, 0), (5, 0)).geodesic_edges[2]
-        limits.clear()
+        calls.clear()
         curve = fpp.single_edge_response(field, (5, 0), e, ys)
+        limits = [k.get("limit") for k in calls]
         assert curve.breakpoint > 0
         assert 3 < len(limits) < 61
         assert limits[0] is None and None not in limits[1:]
