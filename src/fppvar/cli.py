@@ -208,13 +208,8 @@ def _cmd_fpp_run(ns) -> int:
     field, target = _default_field(ns)
     origin = (0,) * field.grid.d
     res = fpp.passage_time(field, origin, target)
-    payload = {
-        "distance": res.distance,
-        "geodesic_edges": sorted(res.geodesic_edges),
-        "source": list(res.source),
-        "target": list(res.target),
-    }
-    _emit(json.dumps(payload, indent=2) + "\n", ns.out)
+    _emit(_json(dataclasses.replace(res, geodesic_edges=tuple(sorted(res.geodesic_edges)))),
+          ns.out)
     return 0
 
 

@@ -27,7 +27,7 @@ row i XOR 2^q instead of evaluating the function again.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from math import comb
 from typing import Sequence
 
@@ -111,6 +111,7 @@ def c1_constant(m: int) -> float:
                default=0.0)
 
 
+@cache
 def weight_boundaries(m: int) -> tuple[int, ...]:
     """The m staircase cut points b_1 < ... < b_m in {1, ..., m^2}.
 
@@ -147,7 +148,7 @@ class AveragingFunction:
         if self.m < 1:
             raise ValueError("m must be >= 1")
 
-    @cached_property
+    @property
     def boundaries(self) -> tuple[int, ...]:
         return weight_boundaries(self.m)
 
@@ -220,11 +221,6 @@ def level_probabilities(m: int) -> list[float]:
     return [c / fn.total for c in counts]
 
 
-@cache
-def _averaging_function(m: int) -> AveragingFunction:
-    return AveragingFunction(m)
-
-
 def random_vertex(a, d: int) -> tuple[int, ...]:
     """Coordinate-wise averaging of a d x m^2 bit matrix into {0..m}^d."""
     mat = np.asarray(a)
@@ -238,4 +234,4 @@ def random_vertex(a, d: int) -> tuple[int, ...]:
     bits = mat.astype(int)
     if np.any((bits != 0) & (bits != 1)):
         raise ValueError("bit vector entries must be 0 or 1")
-    return tuple(_averaging_function(m).value_at_weight(bits.sum(axis=1)).tolist())
+    return tuple(AveragingFunction(m).value_at_weight(bits.sum(axis=1)).tolist())

@@ -118,6 +118,17 @@ def hermite_rule(order: int = 64) -> QuadratureRule:
     return QuadratureRule(nodes=x * SQRT2, weights=w / math.sqrt(math.pi))
 
 
+def _legendre_panels(lo: float, hi: float, panels: int,
+                     order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of composite Gauss-Legendre on [lo, hi] with equal
+    panels, ordered panel by panel."""
+    gl_x, gl_w = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(lo, hi, panels + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * np.diff(edges)
+    return (mid[:, None] + half[:, None] * gl_x).ravel(), (half[:, None] * gl_w).ravel()
+
+
 def legendre_gaussian_rule(panels: int = 512, order: int = 8) -> QuadratureRule:
     """Composite Gauss-Legendre rule against the Gaussian weight.
 
@@ -126,14 +137,9 @@ def legendre_gaussian_rule(panels: int = 512, order: int = 8) -> QuadratureRule:
     the panel containing a kink contributes error.  Mass beyond
     +-``LEGENDRE_HALF_WIDTH`` is dropped.
     """
-    gl_x, gl_w = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(-LEGENDRE_HALF_WIDTH, LEGENDRE_HALF_WIDTH, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
-    nodes = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
-    weights = (half[:, None] * gl_w[None, :]).ravel() * (
-        INV_SQRT_2PI * np.exp(-0.5 * nodes ** 2))
-    return QuadratureRule(nodes=nodes, weights=weights)
+    nodes, weights = _legendre_panels(-LEGENDRE_HALF_WIDTH, LEGENDRE_HALF_WIDTH, panels, order)
+    return QuadratureRule(nodes=nodes,
+                          weights=weights * (INV_SQRT_2PI * np.exp(-0.5 * nodes ** 2)))
 
 
 def ou_apply(f: Callable, t: float, y, rule: QuadratureRule):
@@ -213,16 +219,11 @@ def variance_heat_identity(f: Callable, fprime: Callable,
     mean = float(np.dot(rule.weights, vals))
     var = float(np.dot(rule.weights, vals ** 2)) - mean * mean
 
-    gl_x, gl_w = np.polynomial.legendre.leggauss(HEAT_PANEL_ORDER)
-    edges = np.linspace(0.0, HEAT_T_MAX, HEAT_PANELS + 1)
     total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        ts = 0.5 * (b - a) * gl_x + 0.5 * (a + b)
-        ws = 0.5 * (b - a) * gl_w
-        for tt, wt in zip(ts, ws):
-            smoothed_prime = ou_apply(fprime, tt, rule.nodes, rule)
-            second_moment = float(np.dot(rule.weights, smoothed_prime ** 2))
-            total += wt * math.exp(-2.0 * tt) * second_moment
+    for tt, wt in zip(*_legendre_panels(0.0, HEAT_T_MAX, HEAT_PANELS, HEAT_PANEL_ORDER)):
+        smoothed_prime = ou_apply(fprime, tt, rule.nodes, rule)
+        second_moment = float(np.dot(rule.weights, smoothed_prime ** 2))
+        total += wt * math.exp(-2.0 * tt) * second_moment
     integral = 2.0 * total
 
     fp = np.asarray(fprime(rule.nodes), dtype=float)

@@ -13,15 +13,22 @@ Two corollaries with explicit constants are verified as well: the gamma-type
 bound with the c(k)-weighted ratio, and the unidimensional change of
 variables through the quantile coupling.
 
-Every check returns an :class:`InequalityReport` whose margin is the audit
-trail: the inequalities are theorems, so a margin below -tolerance signals an
-implementation bug, never new mathematics.
+Every check returns an :class:`InequalityReport`, all from one builder, whose
+margin = rhs_total - lhs_variance is the audit trail: the inequalities are
+theorems, so a margin below -tolerance signals an implementation bug, never
+new mathematics.  The one pass rule, with rhs_total the discrete term plus
+the continuous contributions:
+
+    error_estimate = hypot(SE of lhs_variance, SE of rhs_total),
+    tolerance = 3 * error_estimate + floor * (1 + rhs_total),
+    passed = margin >= -tolerance.
 
 Quadrature reports evaluate f and its partials on the cube x tensor
-Gauss-Hermite grid; Monte Carlo reports evaluate them at sampled points and
-share one builder, whose 3-sigma tolerance combines the standard error of the
-sample variance with delta-method errors of the phi-weighted terms.  phi and
-its derivative come from their closed forms in :mod:`fppvar.phi`.
+Gauss-Hermite grid (n_cont <= ``MAX_QUAD_CONT``): no sampling error, floor
+1e-6.  Monte Carlo reports evaluate them at ``MIN_MC_SAMPLES`` or more sampled
+points: floor 0, the standard error of the sample variance and delta-method
+errors of the phi-weighted terms.  phi and its derivative come from their
+closed forms in :mod:`fppvar.phi`.
 """
 
 from __future__ import annotations
@@ -95,6 +102,8 @@ def _quad_points(tf: TestFunction, rule: QuadratureRule) -> tuple[np.ndarray, np
     to one value per (vertex, node); the quadrature mean of such an array A
     is mean(A @ weights), uniform over the cube.
     """
+    if tf.n_cont > MAX_QUAD_CONT:
+        raise ValueError(f"tensor quadrature supports n_cont <= {MAX_QUAD_CONT}")
     grids = np.meshgrid(*([rule.nodes] * tf.n_cont), indexing="ij")
     nodes = np.stack([g.ravel() for g in grids], axis=-1)
     weights = reduce(np.multiply.outer, [rule.weights] * tf.n_cont).ravel()
@@ -107,15 +116,15 @@ def _values(fn: Callable, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.broadcast_to(np.asarray(fn(x, y), dtype=float), shape)
 
 
-def _discrete_gradients(tf: TestFunction, x: np.ndarray, y: np.ndarray,
-                        vals: np.ndarray) -> np.ndarray:
-    """((f(x) - f(x with bit q flipped)) / 2)^2 at every point, one row per bit q."""
-    out = np.empty((tf.n_bits,) + vals.shape)
+def _discrete_gradient_sum(tf: TestFunction, x: np.ndarray, y: np.ndarray,
+                           vals: np.ndarray) -> np.ndarray:
+    """The sum over bits q of ((f(x) - f(x with bit q flipped)) / 2)^2, at every point."""
+    total = np.zeros(vals.shape)
     for q in range(tf.n_bits):
         flipped = x.copy()
         flipped[..., q] = 1.0 - flipped[..., q]
-        out[q] = (0.5 * (vals - _values(tf.fn, flipped, y))) ** 2
-    return out
+        total += (0.5 * (vals - _values(tf.fn, flipped, y))) ** 2
+    return total
 
 
 def _term_from_norms(index: int, l1: float, l2sq: float,
@@ -143,9 +152,20 @@ def discrete_gradient_norm(tf: TestFunction, q: int,
     return float(np.mean(grad ** 2 @ weights))
 
 
+def _report(lhs: float, lhs_se: float, discrete: float, rhs_var: float,
+            terms: list[ContinuousTerm], method: str, floor: float) -> InequalityReport:
+    """The one report builder, with the pass rule of the module docstring."""
+    rhs = discrete + sum(t.contribution for t in terms)
+    margin = rhs - lhs
+    error = math.hypot(lhs_se, math.sqrt(rhs_var))
+    tol = 3.0 * error + floor * (1.0 + rhs)
+    return InequalityReport(lhs_variance=lhs, discrete_term=discrete,
+                            continuous_terms=tuple(terms), rhs_total=rhs,
+                            margin=margin, method=method, error_estimate=error,
+                            tolerance=tol, passed=margin >= -tol)
+
+
 def _quad_report(tf: TestFunction, rule: QuadratureRule) -> InequalityReport:
-    if tf.n_cont > MAX_QUAD_CONT:
-        raise ValueError(f"tensor quadrature supports n_cont <= {MAX_QUAD_CONT}")
     x, y, weights = _quad_points(tf, rule)
 
     def mean(a: np.ndarray) -> float:
@@ -153,22 +173,14 @@ def _quad_report(tf: TestFunction, rule: QuadratureRule) -> InequalityReport:
 
     vals = _values(tf.fn, x, y)
     first = mean(vals)
-    lhs = mean(vals ** 2) - first * first
     discrete = sum((mean((0.5 * flip(vals, q)) ** 2) for q in range(tf.n_bits)), 0.0)
 
     terms = []
     for i, dfun in enumerate(tf.partials):
         dvals = _values(dfun, x, y)
         terms.append(_term_from_norms(i, mean(np.abs(dvals)), mean(dvals ** 2)))
-
-    rhs = discrete + sum(t.contribution for t in terms)
-    margin = rhs - lhs
-    tol = 1e-6 * (1.0 + rhs)
-    return InequalityReport(lhs_variance=lhs, discrete_term=discrete,
-                            continuous_terms=tuple(terms), rhs_total=rhs,
-                            margin=margin, method="quadrature",
-                            error_estimate=0.0, tolerance=tol,
-                            passed=margin >= -tol)
+    return _report(mean(vals ** 2) - first * first, 0.0, discrete, 0.0, terms,
+                   "quadrature", 1e-6)
 
 
 def _variance_and_se(vals: np.ndarray) -> tuple[float, float]:
@@ -203,45 +215,38 @@ def _term_se(dvals: np.ndarray, term: ContinuousTerm, ratio_scale: float,
     return prefactor * math.sqrt(max(var, 0.0))
 
 
-def _mc_inequality(vals: np.ndarray, partials: list[np.ndarray],
-                   discrete_samples: np.ndarray, ratio_scale: float,
+def _mc_inequality(samples: int, vals, partials: list, discrete, ratio_scale: float,
                    prefactor: float) -> InequalityReport:
-    """Monte Carlo report from per-sample values, continuous partials and
-    summed squared discrete gradients; the tolerance is 3 combined standard
-    errors of the two sides."""
-    n = vals.size
-    lhs, lhs_se = _variance_and_se(vals)
-    discrete = float(np.mean(discrete_samples))
-    rhs_var = (float(np.std(discrete_samples, ddof=1)) / math.sqrt(n)) ** 2
+    """Monte Carlo report from raw outputs at ``samples`` points: f's values,
+    the continuous partials and the summed squared discrete gradients (a
+    scalar 0.0 for none), each broadcast to one value per sample."""
+    if samples < MIN_MC_SAMPLES:
+        raise ValueError(f"Monte Carlo checks need at least {MIN_MC_SAMPLES} samples")
+
+    def per_sample(a) -> np.ndarray:
+        return np.broadcast_to(np.asarray(a, dtype=float), (samples,))
+
+    lhs, lhs_se = _variance_and_se(per_sample(vals))
+    discrete_samples = per_sample(discrete)
+    rhs_var = (float(np.std(discrete_samples, ddof=1)) / math.sqrt(samples)) ** 2
 
     terms = []
-    for i, dvals in enumerate(partials):
+    for i, dvals in enumerate(map(per_sample, partials)):
         term = _term_from_norms(i, float(np.mean(np.abs(dvals))), float(np.mean(dvals ** 2)),
                                 ratio_scale, prefactor)
         terms.append(term)
         rhs_var += _term_se(dvals, term, ratio_scale, prefactor) ** 2
-
-    rhs = discrete + sum(t.contribution for t in terms)
-    margin = rhs - lhs
-    combined = math.hypot(lhs_se, math.sqrt(rhs_var))
-    tol = 3.0 * combined
-    return InequalityReport(lhs_variance=lhs, discrete_term=discrete,
-                            continuous_terms=tuple(terms), rhs_total=rhs,
-                            margin=margin, method="monte-carlo",
-                            error_estimate=combined, tolerance=tol,
-                            passed=margin >= -tol)
+    return _report(lhs, lhs_se, float(np.mean(discrete_samples)), rhs_var, terms,
+                   "monte-carlo", 0.0)
 
 
 def _mc_report(tf: TestFunction, samples: int, seed: int) -> InequalityReport:
-    if samples < MIN_MC_SAMPLES:
-        raise ValueError(f"Monte Carlo mode needs at least {MIN_MC_SAMPLES} samples")
     rng = np.random.default_rng(seed)
     x = rng.integers(0, 2, size=(samples, tf.n_bits)).astype(float)
     y = rng.standard_normal((samples, tf.n_cont))
     vals = _values(tf.fn, x, y)
-    partials = [_values(dfun, x, y) for dfun in tf.partials]
-    return _mc_inequality(vals, partials, _discrete_gradients(tf, x, y, vals).sum(axis=0),
-                          1.0, 1.0)
+    return _mc_inequality(samples, vals, [dfun(x, y) for dfun in tf.partials],
+                          _discrete_gradient_sum(tf, x, y, vals), 1.0, 1.0)
 
 
 def verify_modified_poincare(tf: TestFunction, rule: Optional[QuadratureRule] = None,
@@ -272,10 +277,9 @@ def verify_variance_split(tf: TestFunction, rule: QuadratureRule) -> VarianceSpl
 
     col_mean = vals.mean(axis=0)
     col_var = (vals ** 2).mean(axis=0) - col_mean ** 2
-    within = float(col_var @ weights)
-    between = float((col_mean ** 2) @ weights) - float(col_mean @ weights) ** 2
-
     mean = float(col_mean @ weights)
+    within = float(col_var @ weights)
+    between = float((col_mean ** 2) @ weights) - mean ** 2
     total = float(np.mean((vals ** 2) @ weights)) - mean * mean
     rhs = within + between
     return VarianceSplitReport(lhs=total, rhs=rhs, discrepancy=abs(total - rhs))
@@ -320,14 +324,10 @@ def verify_chi2_inequality(g: Callable, gprime: Callable, k: int, alpha: float,
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    if samples < MIN_MC_SAMPLES:
-        raise ValueError(f"need at least {MIN_MC_SAMPLES} samples")
     ck = c_k(k)
-    rng = np.random.default_rng(seed)
-    y = rng.gamma(shape=k / 2.0, scale=1.0 / alpha, size=samples)
-    vals = np.broadcast_to(np.asarray(g(y), dtype=float), (samples,))
-    dvals = np.broadcast_to(np.asarray(gprime(y), dtype=float) * np.sqrt(y), (samples,))
-    return _mc_inequality(vals, [dvals], np.zeros(samples), ck, 2.0 / alpha)
+    y = np.random.default_rng(seed).gamma(shape=k / 2.0, scale=1.0 / alpha, size=samples)
+    return _mc_inequality(samples, g(y), [np.asarray(gprime(y), dtype=float) * np.sqrt(y)],
+                          0.0, ck, 2.0 / alpha)
 
 
 def verify_change_of_variables(f: Callable, fprime: Callable,
@@ -338,15 +338,12 @@ def verify_change_of_variables(f: Callable, fprime: Callable,
     Under the edge law: Var(f) <= 2 * ||D||_2^2 * phi(||D||_1/||D||_2) with
     D(y) = psi(y) f'(y).
     """
-    if samples < MIN_MC_SAMPLES:
-        raise ValueError(f"need at least {MIN_MC_SAMPLES} samples")
     # The draws of sample(dist, seed, samples), with their levels kept for psi.
     u = _uniforms(seed, samples)
     y = dist._quantile(u)
-    vals = np.broadcast_to(np.asarray(f(y), dtype=float), (samples,))
-    dvals = np.broadcast_to(_psi_at_level(dist, u, y) * np.asarray(fprime(y), dtype=float),
-                            (samples,))
-    return _mc_inequality(vals, [dvals], np.zeros(samples), 1.0, 2.0)
+    return _mc_inequality(samples, f(y),
+                          [_psi_at_level(dist, u, y) * np.asarray(fprime(y), dtype=float)],
+                          0.0, 1.0, 2.0)
 
 
 REGISTRY: dict[str, TestFunction] = {}

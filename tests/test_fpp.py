@@ -497,14 +497,16 @@ class TestEdgeDerivative:
 
     def test_finite_difference_trials(self):
         # criterion-level check: indicator equals the FD increment at delta=1e-9
+        # Field seeds are bounded, so an edge_derivative that refuses every
+        # field fails here instead of looping forever.
         agree = 0
         trials = 0
-        attempt_seed = 0
         rng = np.random.default_rng(1234)
         g = fpp.GridSpec(lo=(-3, -3), hi=(8, 6))
         v = (5, 2)
-        while trials < 100:
-            attempt_seed += 1
+        for attempt_seed in range(1, 1001):
+            if trials == 100:
+                break
             field = fpp.field_from_distribution(g, "exp:rate=1", attempt_seed)
             e = int(rng.integers(0, g.edge_count))
             try:
@@ -520,6 +522,7 @@ class TestEdgeDerivative:
                                      (0, 0), v).distance
             if abs((after - base) - delta * ind) <= 1e-12:
                 agree += 1
+        assert trials == 100
         assert agree >= 99
 
     def test_tie_verdicts_match_two_unlimited_solves(self):

@@ -297,3 +297,73 @@ class TestChangeOfVariables:
         assert np.any(dist._quantile(_uniforms(5002, 20_000)) == 1.0)
         rep = P.verify_change_of_variables(np.sin, np.cos, dist, 20_000, 5002)
         assert rep.passed
+
+
+class TestOneReportBuilder:
+    """Every report kind follows the pass rule of the poincare docstring."""
+
+    @staticmethod
+    def check_rule(rep):
+        assert rep.rhs_total == rep.discrete_term + sum(t.contribution
+                                                        for t in rep.continuous_terms)
+        assert rep.margin == rep.rhs_total - rep.lhs_variance
+        assert rep.passed == (rep.margin >= -rep.tolerance)
+
+    @pytest.mark.parametrize("name", sorted(P.REGISTRY))
+    def test_quadrature(self, name):
+        tf = P.REGISTRY[name]
+        rep = P.verify_modified_poincare(tf, rule=rule_for(tf))
+        self.check_rule(rep)
+        assert rep.method == "quadrature"
+        assert rep.error_estimate == 0.0
+        assert rep.tolerance == 1e-6 * (1 + rep.rhs_total)
+
+    @pytest.mark.parametrize("name", sorted(P.REGISTRY))
+    def test_monte_carlo(self, name):
+        rep = P.verify_modified_poincare(P.REGISTRY[name], mc={"samples": 2000, "seed": 4})
+        self.check_rule(rep)
+        assert rep.method == "monte-carlo"
+        assert rep.tolerance == 3 * rep.error_estimate
+
+    @pytest.mark.parametrize("check", [
+        lambda: P.verify_chi2_inequality(np.sqrt, lambda y: 0.5 / np.sqrt(y), k=3,
+                                         alpha=0.5, samples=5000, seed=2),
+        lambda: P.verify_change_of_variables(np.sin, np.cos, beta_family(2.0, 3.0), 5000, 2),
+    ], ids=["chi2", "change-of-variables"])
+    def test_corollaries(self, check):
+        rep = check()
+        self.check_rule(rep)
+        assert rep.method == "monte-carlo"
+        assert rep.discrete_term == 0.0
+        assert rep.tolerance == 3 * rep.error_estimate
+
+    def test_one_sample_floor(self):
+        entry_points = {
+            "modified-poincare": lambda n: P.verify_modified_poincare(
+                P.REGISTRY["bit-times-gauss"], mc={"samples": n, "seed": 0}),
+            "chi2": lambda n: P.verify_chi2_inequality(
+                lambda y: y, np.ones_like, k=2, alpha=1.0, samples=n, seed=0),
+            "change-of-variables": lambda n: P.verify_change_of_variables(
+                lambda y: y, np.ones_like, exponential(), n, 0),
+        }
+        messages = set()
+        for name, run in entry_points.items():
+            for n in (0, P.MIN_MC_SAMPLES - 1):
+                with pytest.raises(ValueError) as info:
+                    run(n)
+                messages.add(str(info.value))
+            assert isinstance(run(P.MIN_MC_SAMPLES), P.InequalityReport), name
+        assert messages == {f"Monte Carlo checks need at least {P.MIN_MC_SAMPLES} samples"}
+
+    def test_tensor_grid_cap(self):
+        # A 2-node rule keeps the uncapped grid small (2^7 nodes); the cap
+        # must refuse it before any grid is built.
+        n = P.MAX_QUAD_CONT + 1
+        tf = P.TestFunction("sum-7d", 1, n, lambda x, y: x[..., 0] + y.sum(axis=-1),
+                            (lambda x, y: 1.0,) * n)
+        rule = G.hermite_rule(2)
+        for check in (lambda: P.verify_modified_poincare(tf, rule=rule),
+                      lambda: P.verify_variance_split(tf, rule),
+                      lambda: P.discrete_gradient_norm(tf, 0, rule)):
+            with pytest.raises(ValueError, match="n_cont <= 6"):
+                check()
