@@ -9,6 +9,11 @@ narrow band of weight classes carrying probability at most 1/(m+1) plus one
 central binomial mass, which is below 2*c1/m for every m (verified exactly
 through m = 32 in the tests).
 
+g_m depends on its bits only through their weight, so it is one
+weight-indexed table of m^2 + 1 levels, built once per m.  :func:`g_m`,
+:func:`random_vertex` and both level-set checks read that table.  Every
+bit-taking function refuses an entry that is not equal to 0 or 1.
+
 A block-slicing definition floor(rank(x)/ceil(2^(m^2)/m)) under a
 weight-compatible rank order looks natural here but cannot work: any rank
 order admits one-bit flips that shift the rank by nearly twice the central
@@ -28,7 +33,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from math import comb
+from itertools import accumulate
+from math import comb, isqrt
 from typing import Sequence
 
 import numpy as np
@@ -45,13 +51,11 @@ def flip(vals: np.ndarray, q: int) -> np.ndarray:
     return vals - vals[np.arange(len(vals)) ^ (1 << q)]
 
 
-def _validate_bits(bits: Sequence[int], length: int) -> list[int]:
-    vals = [int(b) for b in bits]
-    if len(vals) != length:
-        raise ValueError(f"bit vector must have length {length}, got {len(vals)}")
-    if any(b not in (0, 1) for b in vals):
+def _bits(vals: np.ndarray) -> np.ndarray:
+    """The entries of ``vals`` as ints, refusing any not equal to 0 or 1."""
+    if not ((vals == 0) | (vals == 1)).all():
         raise ValueError("bit vector entries must be 0 or 1")
-    return vals
+    return vals.astype(int)
 
 
 def rank(bits: Sequence[int]) -> int:
@@ -59,8 +63,8 @@ def rank(bits: Sequence[int]) -> int:
 
     The all-zeros string has rank 1 and the all-ones string rank 2^n.
     """
-    n = len(bits)
-    vals = _validate_bits(bits, n)
+    vals = _bits(np.asarray(bits)).tolist()
+    n = len(vals)
     w = sum(vals)
     below = sum(comb(n, j) for j in range(w))
     within = 0
@@ -86,9 +90,7 @@ def unrank(r: int, n: int) -> list[int]:
     bits = []
     remaining_ones = w
     for i in range(n):
-        if remaining_ones == 0:
-            bits.append(0)
-            continue
+        # once no ones remain, c = 1 > idx = 0 and every later bit is 0
         c = comb(n - i - 1, remaining_ones)
         if idx < c:
             bits.append(0)
@@ -122,11 +124,7 @@ def weight_boundaries(m: int) -> tuple[int, ...]:
         raise ValueError("m must be >= 1")
     n = m * m
     total = 1 << n
-    cum = 0
-    cums = []
-    for w in range(n + 1):
-        cum += comb(n, w)
-        cums.append(cum)
+    cums = list(accumulate(comb(n, w) for w in range(n + 1)))
     bounds = []
     prev = 0
     for y in range(1, m + 1):
@@ -139,44 +137,21 @@ def weight_boundaries(m: int) -> tuple[int, ...]:
     return tuple(bounds)
 
 
-@dataclass(frozen=True)
-class AveragingFunction:
-    """Weight-staircase map from m^2-bit strings onto {0, ..., m}."""
-    m: int
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
-
-    @property
-    def boundaries(self) -> tuple[int, ...]:
-        return weight_boundaries(self.m)
-
-    @property
-    def n_bits(self) -> int:
-        return self.m * self.m
-
-    @property
-    def total(self) -> int:
-        return 1 << self.n_bits
-
-    def value_at_weight(self, w):
-        """Number of cut points at or below the weight w; elementwise on arrays,
-        an int for a scalar."""
-        w = np.asarray(w)
-        if ((w < 0) | (w > self.n_bits)).any():
-            raise ValueError("weight out of range")
-        levels = np.asarray(self.boundaries).searchsorted(w, side="right")
-        return levels if levels.ndim else int(levels)
-
-    def __call__(self, bits: Sequence[int]) -> int:
-        vals = _validate_bits(bits, self.n_bits)
-        return self.value_at_weight(sum(vals))
+@cache
+def _levels(m: int) -> np.ndarray:
+    """g_m as one read-only table: entry w counts the cut points at or below w."""
+    levels = np.searchsorted(weight_boundaries(m), np.arange(m * m + 1), side="right")
+    levels.flags.writeable = False
+    return levels
 
 
 def g_m(bits: Sequence[int], m: int) -> int:
     """Evaluate the averaging function for the given m."""
-    return AveragingFunction(m)(bits)
+    levels = _levels(m)
+    vals = np.asarray(bits)
+    if vals.shape != (m * m,):
+        raise ValueError(f"bit vector must have length {m * m}, got shape {vals.shape}")
+    return int(levels[_bits(vals).sum()])
 
 
 @dataclass(frozen=True)
@@ -195,12 +170,10 @@ def verify_averaging_properties(m: int) -> AveragingReport:
     changes g_m by at most 1, and that the largest level-set probability is
     at most 2*c1/m with c1 computed numerically.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
     if m > 4:
         raise ValueError("exhaustive verification is limited to m <= 4")
     n = m * m
-    values = AveragingFunction(m).value_at_weight(cube(n).sum(axis=1))
+    values = _levels(m)[cube(n).sum(axis=1).astype(int)]
     gradient_ok = all(np.all(np.abs(flip(values, q)) <= 1) for q in range(n))
     counts = np.bincount(values, minlength=m + 1)
     max_level_prob = float(counts.max()) / values.size
@@ -212,13 +185,12 @@ def verify_averaging_properties(m: int) -> AveragingReport:
 
 def level_probabilities(m: int) -> list[float]:
     """Exact level-set probabilities of g_m via binomial counting (any m)."""
-    fn = AveragingFunction(m)
     n = m * m
     counts = [0] * (m + 1)
-    for w in range(n + 1):
-        counts[fn.value_at_weight(w)] += comb(n, w)
+    for w, level in enumerate(_levels(m).tolist()):
+        counts[level] += comb(n, w)
     # int/int true division stays exact-ish even when both exceed float range
-    return [c / fn.total for c in counts]
+    return [c / (1 << n) for c in counts]
 
 
 def random_vertex(a, d: int) -> tuple[int, ...]:
@@ -227,11 +199,7 @@ def random_vertex(a, d: int) -> tuple[int, ...]:
     if mat.ndim != 2 or mat.shape[0] != d:
         raise ValueError(f"bit matrix must have shape ({d}, m^2)")
     n = mat.shape[1]
-    m = int(round(n ** 0.5))
+    m = isqrt(n)
     if m * m != n:
         raise ValueError("row length must be a perfect square m^2")
-    # int() per entry, as the scalar evaluation reads a bit vector
-    bits = mat.astype(int)
-    if np.any((bits != 0) & (bits != 1)):
-        raise ValueError("bit vector entries must be 0 or 1")
-    return tuple(AveragingFunction(m).value_at_weight(bits.sum(axis=1)).tolist())
+    return tuple(_levels(m)[_bits(mat).sum(axis=1)].tolist())

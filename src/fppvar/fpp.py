@@ -59,6 +59,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
+from .cube_averaging import random_vertex
 from .edge_distributions import EdgeDistribution, parse_distribution, sample
 
 TIE_TOL = 1e-12
@@ -399,8 +400,6 @@ def single_edge_response(field: WeightField, v: Sequence[int], e: int,
 
 def averaged_passage_time(a, field: WeightField, v: Sequence[int], m: int) -> float:
     """Passage time between the randomly shifted endpoints z(a) and v + z(a)."""
-    from .cube_averaging import random_vertex
-
     grid = field.grid
     mat = np.asarray(a)
     if mat.ndim != 2 or mat.shape != (grid.d, m * m):

@@ -215,13 +215,17 @@ def _term_se(dvals: np.ndarray, term: ContinuousTerm, ratio_scale: float,
     return prefactor * math.sqrt(max(var, 0.0))
 
 
+def _sample_floor(samples: int) -> None:
+    """The one Monte Carlo sample floor, checked before any draw."""
+    if samples < MIN_MC_SAMPLES:
+        raise ValueError(f"Monte Carlo checks need at least {MIN_MC_SAMPLES} samples")
+
+
 def _mc_inequality(samples: int, vals, partials: list, discrete, ratio_scale: float,
                    prefactor: float) -> InequalityReport:
     """Monte Carlo report from raw outputs at ``samples`` points: f's values,
     the continuous partials and the summed squared discrete gradients (a
     scalar 0.0 for none), each broadcast to one value per sample."""
-    if samples < MIN_MC_SAMPLES:
-        raise ValueError(f"Monte Carlo checks need at least {MIN_MC_SAMPLES} samples")
 
     def per_sample(a) -> np.ndarray:
         return np.broadcast_to(np.asarray(a, dtype=float), (samples,))
@@ -241,6 +245,7 @@ def _mc_inequality(samples: int, vals, partials: list, discrete, ratio_scale: fl
 
 
 def _mc_report(tf: TestFunction, samples: int, seed: int) -> InequalityReport:
+    _sample_floor(samples)
     rng = np.random.default_rng(seed)
     x = rng.integers(0, 2, size=(samples, tf.n_bits)).astype(float)
     y = rng.standard_normal((samples, tf.n_cont))
@@ -324,6 +329,7 @@ def verify_chi2_inequality(g: Callable, gprime: Callable, k: int, alpha: float,
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
+    _sample_floor(samples)
     ck = c_k(k)
     y = np.random.default_rng(seed).gamma(shape=k / 2.0, scale=1.0 / alpha, size=samples)
     return _mc_inequality(samples, g(y), [np.asarray(gprime(y), dtype=float) * np.sqrt(y)],
@@ -338,6 +344,7 @@ def verify_change_of_variables(f: Callable, fprime: Callable,
     Under the edge law: Var(f) <= 2 * ||D||_2^2 * phi(||D||_1/||D||_2) with
     D(y) = psi(y) f'(y).
     """
+    _sample_floor(samples)
     # The draws of sample(dist, seed, samples), with their levels kept for psi.
     u = _uniforms(seed, samples)
     y = dist._quantile(u)

@@ -61,12 +61,16 @@ class TestRank:
         with pytest.raises(ValueError):
             ca.unrank(17, 4)
 
+    def test_rejects_non_bits(self):
+        with pytest.raises(ValueError, match="0 or 1"):
+            ca.rank([0.9, 1, 0, 0])
+        assert ca.rank([True, False, 0.0, 1.0]) == ca.rank([1, 0, 0, 1])
+
 
 class TestAveragingFunction:
     def test_m2_values(self):
-        f = ca.AveragingFunction(2)
-        assert f([0, 0, 0, 0]) == 0
-        assert f([1, 1, 1, 1]) == 2
+        assert ca.g_m([0, 0, 0, 0], 2) == 0
+        assert ca.g_m([1, 1, 1, 1], 2) == 2
 
     def test_m1_degenerate(self):
         assert ca.g_m([0], 1) == 0
@@ -74,8 +78,8 @@ class TestAveragingFunction:
 
     def test_range(self):
         for m in (2, 3):
-            f = ca.AveragingFunction(m)
-            vals = {f([(i >> j) & 1 for j in range(m * m)]) for i in range(1 << (m * m))}
+            vals = {ca.g_m([(i >> j) & 1 for j in range(m * m)], m)
+                    for i in range(1 << (m * m))}
             assert vals <= set(range(m + 1))
             assert max(vals) == m
             assert min(vals) == 0
@@ -107,24 +111,46 @@ class TestAveragingFunction:
         assert rep.gradient_ok == gradient_ok
         assert rep.max_level_prob == float(np.bincount(values).max()) / total
 
-    def test_value_at_weight_elementwise(self):
-        fn = ca.AveragingFunction(4)
-        want = [sum(1 for b in fn.boundaries if b <= w) for w in range(17)]
-        assert fn.value_at_weight(np.arange(17)).tolist() == want
-        assert [fn.value_at_weight(w) for w in range(17)] == want
-        assert type(fn.value_at_weight(9)) is int
+    def test_levels_match_boundary_count(self):
+        want = [sum(1 for b in ca.weight_boundaries(4) if b <= w) for w in range(17)]
+        assert ca._levels(4).tolist() == want
+        # g_m at one string of each weight reads the same table
+        assert [ca.g_m([1] * w + [0] * (16 - w), 4) for w in range(17)] == want
+        assert type(ca.g_m([1] * 9 + [0] * 7, 4)) is int
+
+    def test_levels_read_only(self):
+        levels = ca._levels(3)
         with pytest.raises(ValueError):
-            fn.value_at_weight(np.array([3, 17]))
+            levels[0] = 1
+        assert ca._levels(3) is levels and levels[0] == 0
+
+    def test_m_checked_first(self):
+        for call in (lambda: ca.g_m([], -1), lambda: ca.g_m([0.5], 0),
+                     lambda: ca.verify_averaging_properties(0),
+                     lambda: ca.level_probabilities(-2),
+                     lambda: ca.random_vertex(np.zeros((2, 0)), 2)):
+            with pytest.raises(ValueError, match="m must be >= 1"):
+                call()
+
+    def test_rejects_non_bits(self):
+        for not_bits in ([0.5, 1.9, 1, 1], [0, 1, -1, 0], [0, 1, float("nan"), 0]):
+            with pytest.raises(ValueError, match="0 or 1"):
+                ca.g_m(not_bits, 2)
+        for not_a_vector in ("0111", np.ones((2, 2))):
+            with pytest.raises(ValueError, match="length 4"):
+                ca.g_m(not_a_vector, 2)
+        for bits in ([0, 1, 1, 1], [False, True, True, True], [0.0, 1.0, 1.0, 1.0],
+                     np.array([0, 1, 1, 1], dtype=np.uint8)):
+            assert ca.g_m(bits, 2) == 2
 
     def test_exhaustive_guard(self):
         with pytest.raises(ValueError):
             ca.verify_averaging_properties(5)
 
     def test_nondecreasing_along_rank_order(self):
-        f = ca.AveragingFunction(3)
         n = 9
         by_rank = sorted(((ca.rank([(i >> j) & 1 for j in range(n)]),
-                           f([(i >> j) & 1 for j in range(n)]))
+                           ca.g_m([(i >> j) & 1 for j in range(n)], 3))
                           for i in range(1 << n)))
         vals = [v for _, v in by_rank]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
@@ -132,27 +158,24 @@ class TestAveragingFunction:
     @pytest.mark.parametrize("m", [5, 6, 8, 12, 16, 32])
     def test_large_m_exact_binomial_counts(self, m):
         # independent route: group strings by weight, count with binomials
-        fn = ca.AveragingFunction(m)
-        n = m * m
-        diffs = [abs(fn.value_at_weight(w + 1) - fn.value_at_weight(w)) for w in range(n)]
-        assert max(diffs) <= 1
+        levels = ca._levels(m)
+        assert np.abs(np.diff(levels)).max() <= 1
         probs = ca.level_probabilities(m)
         assert max(probs) <= 2.0 * ca.c1_constant(m) / m
         assert sum(probs) == pytest.approx(1.0, abs=1e-12)
-        assert fn.value_at_weight(0) == 0
-        assert fn.value_at_weight(n) == m
+        assert levels[0] == 0
+        assert levels[m * m] == m
 
     def test_flip_gradient_spot_checks_large_m(self):
         rng = random.Random(8)
         for m in (5, 6, 7, 8):
-            fn = ca.AveragingFunction(m)
             n = m * m
             for _ in range(30):
                 bits = [rng.randint(0, 1) for _ in range(n)]
-                v0 = fn(bits)
+                v0 = ca.g_m(bits, m)
                 q = rng.randrange(n)
                 bits[q] ^= 1
-                assert abs(fn(bits) - v0) <= 1
+                assert abs(ca.g_m(bits, m) - v0) <= 1
 
 
 class TestCubeAndFlip:
@@ -195,10 +218,20 @@ class TestRandomVertex:
         with pytest.raises(ValueError, match="0 or 1"):
             ca.random_vertex(np.array([[0, 1, 2, 0], [0, 0, 0, 0]]), 2)
 
+    def test_rejects_non_bits(self):
+        with pytest.raises(ValueError, match="0 or 1"):
+            ca.random_vertex(np.full((2, 9), 0.7), 2)
+        with pytest.raises(ValueError, match="0 or 1"):
+            ca.random_vertex(np.array([[0, 1, 1, 0], [0, 0, 0.5, 0]]), 2)
+        mat = np.array([[0, 1, 1, 1], [1, 1, 1, 1]])
+        for same in (mat.astype(bool), mat.astype(float), mat.tolist()):
+            assert ca.random_vertex(same, 2) == (2, 2)
+
     @staticmethod
     def _per_row(mat, m):
-        # reference: a fresh averaging function evaluated one row at a time
-        return tuple(ca.AveragingFunction(m)(row) for row in mat)
+        # reference: the cut points at or below each row's weight, by hand
+        return tuple(sum(1 for b in ca.weight_boundaries(m) if b <= sum(row))
+                     for row in mat.tolist())
 
     def test_matches_per_row_all_m2_matrices(self):
         for mat in ca.cube(8).astype(int).reshape(-1, 2, 4):
@@ -216,8 +249,8 @@ class TestRandomVertex:
         m, d, trials = 3, 2, 100_000
         rng = np.random.default_rng(17)
         bits = rng.integers(0, 2, size=(trials, d, m * m))
-        fn = ca.AveragingFunction(m)
-        vals = fn.value_at_weight(bits.sum(axis=2))
+        # levels by hand: the cut points at or below each row's weight
+        vals = (bits.sum(axis=2)[..., None] >= np.array(ca.weight_boundaries(m))).sum(axis=2)
         codes = vals[:, 0] * (m + 1) + vals[:, 1]
         top = np.bincount(codes).max() / trials
         bound = (2.0 * ca.c1_constant(m) / m) ** 2

@@ -14,6 +14,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from fppvar import fpp
+from fppvar.cube_averaging import random_vertex
 from fppvar.edge_distributions import exponential, parse_distribution, sample
 from fppvar.experiments import box_for_target
 
@@ -802,7 +803,6 @@ class TestAveragedPassageTime:
             field = fpp.field_from_distribution(g, "exp:rate=1", seed)
             base = fpp.passage_time(field, (0, 0), v).distance
             a = rng.integers(0, 2, size=(2, 9))
-            from fppvar.cube_averaging import random_vertex
             z = random_vertex(a, 2)
             tilde = fpp.averaged_passage_time(a, field, v, 3)
             bound = (fpp.passage_time(field, (0, 0), z).distance
@@ -821,6 +821,16 @@ class TestAveragedPassageTime:
         field = fpp.field_from_distribution(g, "exp:rate=1", 0)
         with pytest.raises(ValueError):
             fpp.averaged_passage_time(np.zeros((2, 5), dtype=int), field, (2, 0), 2)
+
+    def test_rejects_non_bits(self):
+        # 0.7 once truncated to 0, giving the unshifted passage time
+        g = fpp.GridSpec(lo=(-8, -8), hi=(16, 8))
+        field = fpp.field_from_distribution(g, "exp:rate=1", 3)
+        with pytest.raises(ValueError, match="0 or 1"):
+            fpp.averaged_passage_time(np.full((2, 9), 0.7), field, (8, 0), 3)
+        ones = np.ones((2, 4))
+        assert (fpp.averaged_passage_time(ones, field, (8, 0), 2)
+                == fpp.averaged_passage_time(ones.astype(int), field, (8, 0), 2))
 
 
 class TestBoxBias:

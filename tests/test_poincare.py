@@ -348,7 +348,7 @@ class TestOneReportBuilder:
         }
         messages = set()
         for name, run in entry_points.items():
-            for n in (0, P.MIN_MC_SAMPLES - 1):
+            for n in (-5, 0, P.MIN_MC_SAMPLES - 1):
                 with pytest.raises(ValueError) as info:
                     run(n)
                 messages.add(str(info.value))
