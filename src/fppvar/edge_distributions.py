@@ -17,6 +17,7 @@ computation.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -38,8 +39,8 @@ class EdgeDistribution:
     """A continuous edge-time law with density, cdf, quantile and sampler.
 
     ``left_exponent`` is the analytic power alpha with h(x) ~ (x - lo)^alpha
-    near the lower endpoint; ``right_exponent`` the mirrored beta for finite
-    upper endpoints (None when unknown or when the support is unbounded).
+    near the lower endpoint; ``right_exponent`` is the mirrored beta at the
+    upper endpoint, and None exactly when the support is unbounded.
 
     The quantile calls the family's own ``_ppf`` with the frozen law's
     parsed shapes, scale and loc, as ``dist.ppf`` does, without that
@@ -49,7 +50,7 @@ class EdgeDistribution:
     name: str
     lo: float
     hi: float
-    left_exponent: Optional[float]
+    left_exponent: float
     right_exponent: Optional[float]
     dist: stats.distributions.rv_frozen = field(repr=False, compare=False)
 
@@ -79,9 +80,6 @@ class EdgeDistribution:
         p = np.asarray(p, dtype=float)
         return self._quantile(np.where((p >= 0.0) & (p <= 1.0), p, np.nan))[()]
 
-    def mean(self) -> float:
-        return float(self.dist.mean())
-
     def std(self) -> float:
         return float(self.dist.std())
 
@@ -92,27 +90,36 @@ def _num(x: float) -> str:
     return short if float(short) == x else repr(float(x))
 
 
+def _name(family: str, **params: float) -> str:
+    """``family:key=value,...`` with the constructor's parameters in its
+    signature order: the spec that :func:`parse_distribution` reads back as
+    the same law."""
+    args = ",".join(f"{key}={_num(val)}" for key, val in params.items())
+    return f"{family}:{args}" if args else family
+
+
+def _positive(**params: float) -> None:
+    if not all(0 < val < math.inf for val in params.values()):
+        raise ValueError(f"{' and '.join(params)} must be positive and finite")
+
+
 def exponential(rate: float = 1.0) -> EdgeDistribution:
-    if not 0 < rate < math.inf:
-        raise ValueError("rate must be positive and finite")
-    return EdgeDistribution(name=f"exp:rate={_num(rate)}", lo=0.0, hi=math.inf,
+    _positive(rate=rate)
+    return EdgeDistribution(_name("exp", rate=rate), lo=0.0, hi=math.inf,
                             left_exponent=0.0, right_exponent=None,
                             dist=stats.expon(scale=1.0 / rate))
 
 
-def gamma_family(shape: float, rate: float = 1.0) -> EdgeDistribution:
-    if not (0 < shape < math.inf and 0 < rate < math.inf):
-        raise ValueError("shape and rate must be positive and finite")
-    return EdgeDistribution(name=f"gamma:shape={_num(shape)},rate={_num(rate)}",
-                            lo=0.0, hi=math.inf,
+def gamma_family(shape: float = 2.0, rate: float = 1.0) -> EdgeDistribution:
+    _positive(shape=shape, rate=rate)
+    return EdgeDistribution(_name("gamma", shape=shape, rate=rate), lo=0.0, hi=math.inf,
                             left_exponent=shape - 1.0, right_exponent=None,
                             dist=stats.gamma(a=shape, scale=1.0 / rate))
 
 
-def beta_family(a: float, b: float) -> EdgeDistribution:
-    if not (0 < a < math.inf and 0 < b < math.inf):
-        raise ValueError("beta parameters must be positive and finite")
-    return EdgeDistribution(name=f"beta:a={_num(a)},b={_num(b)}", lo=0.0, hi=1.0,
+def beta_family(a: float = 2.0, b: float = 3.0) -> EdgeDistribution:
+    _positive(a=a, b=b)
+    return EdgeDistribution(_name("beta", a=a, b=b), lo=0.0, hi=1.0,
                             left_exponent=a - 1.0, right_exponent=b - 1.0,
                             dist=stats.beta(a, b))
 
@@ -120,17 +127,15 @@ def beta_family(a: float, b: float) -> EdgeDistribution:
 def uniform_family(lo: float = 0.0, hi: float = 1.0) -> EdgeDistribution:
     if not (0.0 <= lo < hi < math.inf):
         raise ValueError("uniform support needs 0 <= lo < hi < inf")
-    return EdgeDistribution(name=f"uniform:lo={_num(lo)},hi={_num(hi)}", lo=lo, hi=hi,
+    return EdgeDistribution(_name("uniform", lo=lo, hi=hi), lo=lo, hi=hi,
                             left_exponent=0.0, right_exponent=0.0,
                             dist=stats.uniform(loc=lo, scale=hi - lo))
 
 
 def chi2_family(k: float = 2.0, alpha: float = 0.5) -> EdgeDistribution:
     """Density proportional to e^{-alpha t} t^{k/2 - 1} on t > 0."""
-    if not (0 < k < math.inf and 0 < alpha < math.inf):
-        raise ValueError("k and alpha must be positive and finite")
-    return EdgeDistribution(name=f"chi2:k={_num(k)},alpha={_num(alpha)}",
-                            lo=0.0, hi=math.inf,
+    _positive(k=k, alpha=alpha)
+    return EdgeDistribution(_name("chi2", k=k, alpha=alpha), lo=0.0, hi=math.inf,
                             left_exponent=k / 2.0 - 1.0, right_exponent=None,
                             dist=stats.gamma(a=k / 2.0, scale=1.0 / alpha))
 
@@ -154,19 +159,14 @@ _HALF_NORMAL = _HalfNormal(a=0.0, name="halfnorm")
 
 
 def half_normal() -> EdgeDistribution:
-    return EdgeDistribution(name="halfnormal", lo=0.0, hi=math.inf,
-                            left_exponent=0.0, right_exponent=None,
-                            dist=_HALF_NORMAL())
+    return EdgeDistribution(_name("halfnormal"), lo=0.0, hi=math.inf,
+                            left_exponent=0.0, right_exponent=None, dist=_HALF_NORMAL())
 
 
-_FAMILIES = {
-    "exp": (exponential, {"rate": 1.0}),
-    "gamma": (gamma_family, {"shape": 2.0, "rate": 1.0}),
-    "beta": (beta_family, {"a": 2.0, "b": 3.0}),
-    "uniform": (uniform_family, {"lo": 0.0, "hi": 1.0}),
-    "chi2": (chi2_family, {"k": 2.0, "alpha": 0.5}),
-    "halfnormal": (half_normal, {}),
-}
+# Each constructor is its family's spec: its parameters are the keys a spec
+# may give, and its defaults fill in the keys a spec omits.
+_FAMILIES = {"exp": exponential, "gamma": gamma_family, "beta": beta_family,
+             "uniform": uniform_family, "chi2": chi2_family, "halfnormal": half_normal}
 
 
 def parse_distribution(spec: str) -> EdgeDistribution:
@@ -174,13 +174,14 @@ def parse_distribution(spec: str) -> EdgeDistribution:
     name, _, argstr = spec.strip().partition(":")
     if name not in _FAMILIES:
         raise ValueError(f"unknown distribution family {name!r}")
-    ctor, defaults = _FAMILIES[name]
-    kwargs = dict(defaults)
+    ctor = _FAMILIES[name]
+    keys = inspect.signature(ctor).parameters
+    kwargs = {}
     if argstr:
         for pair in argstr.split(","):
             key, eq, val = pair.partition("=")
             key = key.strip()
-            if not eq or key not in defaults:
+            if not eq or key not in keys:
                 raise ValueError(f"bad distribution parameter {pair!r} for {name!r}")
             kwargs[key] = float(val)
     return ctor(**kwargs)
@@ -313,27 +314,18 @@ def _tail_ratio_ok(dist: EdgeDistribution) -> tuple[bool, float, float]:
 def check_near_gamma_sufficient(dist: EdgeDistribution) -> NearGammaReport:
     """Sufficient-condition route: density power at the lower endpoint, plus
     either a mirrored power at a finite upper endpoint or a bounded
-    tail-mass/density ratio for unbounded support."""
-    rep = NearGammaReport(distribution=dist.name)
-    finite_hi = math.isfinite(dist.hi)
-    if dist.left_exponent is None or (finite_hi and dist.right_exponent is None):
-        rep.verdict = "not-checkable-by-sufficient-conditions"
-        return rep
-
-    anchor = float(dist.ppf(0.25))
-    rep.sufficient_alpha_ok = _endpoint_power_ok(dist, dist.lo, dist.left_exponent, anchor)
-    if finite_hi:
-        anchor_hi = float(dist.ppf(0.75))
-        rep.sufficient_beta_or_tail_ok = _endpoint_power_ok(
-            dist, dist.hi, dist.right_exponent, anchor_hi)
+    tail-mass/density ratio for unbounded support (``right_exponent`` None)."""
+    alpha_ok = _endpoint_power_ok(dist, dist.lo, dist.left_exponent, float(dist.ppf(0.25)))
+    if dist.right_exponent is None:
+        other_ok, lo, hi = _tail_ratio_ok(dist)
+        tail = (lo, hi)
     else:
-        ok, lo, hi = _tail_ratio_ok(dist)
-        rep.sufficient_beta_or_tail_ok = ok
-        rep.tail_constants = (lo, hi)
-
-    both = rep.sufficient_alpha_ok and rep.sufficient_beta_or_tail_ok
-    rep.verdict = "sufficient-conditions-pass" if both else "fail"
-    return rep
+        other_ok = _endpoint_power_ok(dist, dist.hi, dist.right_exponent, float(dist.ppf(0.75)))
+        tail = None
+    both = alpha_ok and other_ok
+    return NearGammaReport(distribution=dist.name, sufficient_alpha_ok=alpha_ok,
+                           sufficient_beta_or_tail_ok=other_ok, tail_constants=tail,
+                           verdict="sufficient-conditions-pass" if both else "fail")
 
 
 def _direct_stats(dist: EdgeDistribution, m: int) -> tuple[float, float, int]:

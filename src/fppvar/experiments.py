@@ -19,8 +19,8 @@ can lie on a near-optimal path.  Such a row draws the same levels u as
    monotonicity alone.
 2. Solve under L from the source with predecessors, take exact weights on
    that tree path, and set T_ub = (1 + fpp.MARGIN) * their sum, so T_ub >= T.
-3. Solve under L from the target with ``limit=T_ub``, and prune with
-   ``fpp._prune`` against T_ub.
+3. Prune with ``fpp._prune`` against T_ub, which solves under L from the
+   target with ``limit=T_ub``.
 4. Take exact weights on the kept edges, ``inf`` on the rest, and solve
    once more with ``limit=T_ub``; its label at the target is the value.
 
@@ -83,9 +83,6 @@ class SweepResult:
         ns = [r.n for r in self.rows]
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise ValueError("rows must be strictly increasing in n")
-
-    def var_over_n(self) -> np.ndarray:
-        return np.array([r.var / r.n for r in self.rows])
 
     def var_logn_over_n(self) -> np.ndarray:
         return np.array([r.var * math.log(r.n) / r.n for r in self.rows])
@@ -186,8 +183,7 @@ def _pruned_value(ss) -> float:
     chain = fpp._tree_path(grid, pred, src, dst)
     path = grid._edges_between(chain[:-1], chain[1:])
     t_ub = float(_exact(dist, u, lower, path).sum()) * (1.0 + fpp.MARGIN)
-    dv = fpp._solve(grid, lower, dst, limit=t_ub)
-    weights = fpp._prune(grid, d0, dv, lower, t_ub)
+    weights = fpp._prune(grid, d0, dst, lower, t_ub)
     keep = np.flatnonzero(weights != np.inf)
     weights[keep] = _exact(dist, u, lower, keep)
     return float(fpp._solve(grid, weights, src, limit=t_ub)[dst])

@@ -25,20 +25,22 @@ Two facts carry every bounded solve in the package, and a third the tie check.
    decreases when one weight grows.  A solve with ``limit=L`` returns the
    same bits at every vertex whose label is at most L, and ``inf`` at the
    rest: no prefix of a path folds to more than the whole path.
-2. *Pruning* (:func:`_prune`).  Let d_s and d_t be labels from s and from
-   t under weights lo, each at most the weight w of its edge (solves with
-   ``limit=B`` will do), and keep edge (a, b) when min(d_s[a] + d_t[b], d_s[b] + d_t[a]) + lo_e <= B.  Let T
-   be the label at t from s under w.  If B >= (1 + 2 V eps) T, the label
-   at t from s under w on the kept edges alone (``inf`` elsewhere,
-   ``limit=B``) is T, bit for bit.  Why: monotone rounding gives
-   d_s[a] <= the fold of w along the prefix to a of a float-optimal path
-   P*, and likewise for d_t along its reversed suffix.  A fold of V
-   nonnegative terms is within a factor (1 + V eps) of their exact sum
-   (V vertices, eps = 2^-53; sums in the subnormal range are exact), so
-   every edge of P* has a keep sum within (1 + 2 V eps) of T.  P* survives,
-   and the minimum fold over the kept paths is T itself.  MARGIN = 1e-9
-   dwarfs these ~1e-12, so B = (1 + MARGIN) X will do when X is at least T,
-   or is any float sum of w along a path from s to t.
+2. *Pruning* (:func:`_prune`).  Let weights lo be each at most the
+   weight w of its edge, d_s labels from s under lo (a solve with
+   ``limit=B`` will do), and d_t the labels from t under lo with
+   ``limit=B``, which :func:`_prune` solves itself.  Keep edge (a, b) when
+   min(d_s[a] + d_t[b], d_s[b] + d_t[a]) + lo_e <= B.  Let T be the label
+   at t from s under w.  If B >= (1 + 2 V eps) T, the label at t from s
+   under w on the kept edges alone (``inf`` elsewhere, ``limit=B``) is T,
+   bit for bit.  Why: monotone rounding gives d_s[a] <= the fold of w
+   along the prefix to a of a float-optimal path P*, and likewise for d_t
+   along its reversed suffix.  A fold of V nonnegative terms is within a
+   factor (1 + V eps) of their exact sum (V vertices, eps = 2^-53; sums in
+   the subnormal range are exact), so every edge of P* has a keep sum
+   within (1 + 2 V eps) of T.  P* survives, and the minimum fold over the
+   kept paths is T itself.  MARGIN = 1e-9 dwarfs these ~1e-12, so
+   B = (1 + MARGIN) X will do when X is at least T, or is any float sum of
+   w along a path from s to t.
 3. *Reduced costs* (:func:`edge_derivative`).  Edge e entering b from a
    has reduced cost d_s[a] + w_e - d_s[b].  Exactly, these are nonnegative
    and sum along a walk from s to t to its excess over T.  So a walk from s
@@ -265,10 +267,13 @@ def _solve(grid: GridSpec, weights: np.ndarray, source: int, **options):
     return _csgraph_dijkstra(mat, directed=True, indices=source, **options)
 
 
-def _prune(grid: GridSpec, d_src: np.ndarray, d_dst: np.ndarray,
+def _prune(grid: GridSpec, d_src: np.ndarray, target: int,
            weights: np.ndarray, bound: float) -> np.ndarray:
     """A copy of ``weights`` with ``inf`` off the edges kept by the keep test
-    of fact 2 (module docstring) against ``bound``."""
+    of fact 2 (module docstring) against ``bound``.  ``d_src`` are labels
+    from the source under ``weights``; the labels from vertex index
+    ``target`` come from a solve here with ``limit=bound``."""
+    d_dst = _solve(grid, weights, target, limit=bound)
     tails, heads = grid._edge_arrays
     through = np.minimum(d_src[tails] + d_dst[heads], d_src[heads] + d_dst[tails]) + weights
     return np.where(through <= bound, weights, np.inf)
@@ -383,7 +388,7 @@ def single_edge_response(field: WeightField, v: Sequence[int], e: int,
     out[0] = d0[vi]
     if out[0] < top and ys.size > 2:
         # The y = 0 weights bound every y's from below (fact 2).
-        pruned = _prune(grid, d0, _solve(grid, weights, vi, limit=bound), weights, bound)
+        pruned = _prune(grid, d0, vi, weights, bound)
         for j in range(1, ys.size - 1):
             pruned[e] = ys[j]
             out[j] = _solve(grid, pruned, origin, limit=bound)[vi]

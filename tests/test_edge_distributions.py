@@ -103,6 +103,11 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+# Quantile levels at which two laws must agree bit for bit.
+LEVELS = np.concatenate([[0.0, 2.220446049250313e-16, 0.5, 1.0 - 2.0 ** -53, 1.0],
+                         np.random.default_rng(0).random(64)])
+
+
 POSITIVE = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
 
@@ -211,6 +216,13 @@ class TestParser:
         for dist in FAMILIES:
             assert ed.parse_distribution(dist.name).name == dist.name
 
+    @pytest.mark.parametrize("family", sorted(ed._FAMILIES))
+    def test_bare_family_is_the_constructor_defaults(self, family):
+        parsed, built = ed.parse_distribution(family), ed._FAMILIES[family]()
+        assert parsed.name == built.name
+        assert parsed == built
+        assert same_bits(parsed.ppf(LEVELS), built.ppf(LEVELS))
+
     def test_exact_names(self):
         assert ed.exponential(1.23456789).name == "exp:rate=1.23456789"
         assert ed.gamma_family(2.0, 1.0).name == "gamma:shape=2,rate=1"
@@ -224,9 +236,7 @@ class TestParser:
         back = ed.parse_distribution(dist.name)
         assert back.name == dist.name
         assert back == dist and hash(back) == hash(dist)
-        ps = np.concatenate([[0.0, 2.220446049250313e-16, 0.5, 1.0 - 2.0 ** -53, 1.0],
-                             np.random.default_rng(0).random(64)])
-        assert same_bits(back.ppf(ps), dist.ppf(ps))
+        assert same_bits(back.ppf(LEVELS), dist.ppf(LEVELS))
 
 
 class TestPsi:
