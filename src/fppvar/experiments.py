@@ -30,6 +30,20 @@ is (1 + MARGIN) times a float sum of exact weights along a path.  Exact
 weights are checked finite and at least L (so nonnegative), as
 ``WeightField`` checks a full field.
 
+Bounded plain replicate.  A row on the plain path draws the full field with
+``sample`` and validates it as ``WeightField`` does, then solves twice:
+
+1. Solve the strip [0, n] x [-SUB_PAD, SUB_PAD]^(d-1) under the field's
+   own weights; X is its label at the target.
+2. Solve the box with ``limit=X``; its label at the target is the value.
+
+X is the minimum left fold over the strip's paths, each of which is also a
+path of the box, so X >= T exactly.  A solve with any limit at least T
+returns T's bits (fact 1 in the ``fpp`` module docstring), so the value is
+bit-identical to the full solve's with no margin.  The capped solve labels
+only the vertices within X of the source: in d=2 about a fifth of the box
+at n=8, half at n=16 and three quarters at n >= 32; in d=3 a few percent.
+
 A row takes the pruned path when ``_init_worker`` finds a valid table and
 the quantile time per field exceeds BREAK_EVEN solve times, both timed
 there; which path runs never changes a byte of the output.
@@ -102,10 +116,14 @@ class SweepResult:
 # is exact.
 TABLE_SIZE = 4096
 # The pruned replicate pays when the quantiles of a field cost more than this
-# many solves of the box.  Measured break-even: about 1.1 at n=64 and 1.3 at
-# n=16 (BENCH_8.json); the margin above it keeps a law near the break-even
-# from running slower than the plain path.
+# many solves of the box.  Measured break-even against the bounded plain
+# replicate: about 1.1 at n=64 and 1.25 at n=16 (BENCH_16.json).  The
+# quantile-to-solve ratio of one law reads up to 0.4 apart from row to row
+# on a busy host, and the margin keeps such a law from flipping to the
+# pruned path where it runs slower.
 BREAK_EVEN = 1.5
+# Half-width of the strip whose label at the target caps a plain solve.
+SUB_PAD = 4
 
 # Per-process context for replicate evaluation; set by the pool initializer
 # (inherited state must not leak between configurations, hence keyed setup).
@@ -139,27 +157,43 @@ def _lower_table(dist: EdgeDistribution) -> tuple[np.ndarray | None, float]:
     return (tab if ok else None), draw_s
 
 
+def _strip(box: fpp.GridSpec, n: int) -> tuple[fpp.GridSpec, np.ndarray, int, int]:
+    """The strip [0, n] x [-SUB_PAD, SUB_PAD]^(d-1) inside ``box``: its grid,
+    the box index of each strip edge in strip edge order, and the strip's
+    source and target vertex indices."""
+    d = box.d
+    strip = fpp.GridSpec(lo=(0,) + (-SUB_PAD,) * (d - 1), hi=(n,) + (SUB_PAD,) * (d - 1))
+    offsets = tuple(slice(l - b, h - b + 1) for l, h, b in zip(strip.lo, strip.hi, box.lo))
+    at = box._index[offsets].ravel()
+    tails, heads = strip._edge_arrays
+    edges = box._edges_between(at[tails], at[heads])
+    strip._csr_matrix  # filled here, not in the first replicate
+    return (strip, edges, strip.vertex_index((0,) * d),
+            strip.vertex_index((n,) + (0,) * (d - 1)))
+
+
 def _init_worker(dist: EdgeDistribution, d: int, n: int, seed: int) -> None:
     grid = box_for_target(d, n)
     src = grid.vertex_index((0,) * d)
-    _CTX.update(dist=dist, grid=grid, n=n, seed=seed, src=(0,) * d, src_index=src,
-                dst=grid.vertex_index((n,) + (0,) * (d - 1)), tab=None)
+    _CTX.update(dist=dist, grid=grid, n=n, seed=seed, src_index=src,
+                dst=grid.vertex_index((n,) + (0,) * (d - 1)), tab=None, strip=None)
     # Fill the grid caches every replicate reads here, not in the first one.
     grid.edge_count
     grid._csr_template
     grid._csr_matrix
     tab, draw_s = _lower_table(dist)
-    if tab is None:
-        return
-    # Time the box on a field drawn from the table; fastest of three solves.
-    probe = tab[np.random.default_rng(0).integers(TABLE_SIZE, size=grid.edge_count)]
-    solve_s = math.inf
-    for _ in range(3):
-        start = time.perf_counter()
-        fpp._solve(grid, probe, src)
-        solve_s = min(solve_s, time.perf_counter() - start)
-    if _pruned_pays(draw_s, solve_s, grid.edge_count):
-        _CTX["tab"] = tab
+    if tab is not None:
+        # Time the box on a field drawn from the table; fastest of three solves.
+        probe = tab[np.random.default_rng(0).integers(TABLE_SIZE, size=grid.edge_count)]
+        solve_s = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            fpp._solve(grid, probe, src)
+            solve_s = min(solve_s, time.perf_counter() - start)
+        if _pruned_pays(draw_s, solve_s, grid.edge_count):
+            _CTX["tab"] = tab
+            return
+    _CTX["strip"] = _strip(grid, n)
 
 
 def _exact(dist: EdgeDistribution, u: np.ndarray, lower: np.ndarray,
@@ -189,14 +223,19 @@ def _pruned_value(ss) -> float:
     return float(fpp._solve(grid, weights, src, limit=t_ub)[dst])
 
 
-def _replicate_value(r: int) -> float:
+def _plain_value(ss) -> float:
+    """The replicate value from the full field, solved under a cap from the
+    strip (module docstring)."""
     grid = _CTX["grid"]
+    strip, edges, strip_src, strip_dst = _CTX["strip"]
+    weights = fpp.WeightField(grid=grid, weights=sample(_CTX["dist"], ss, grid.edge_count)).weights
+    cap = fpp._solve(strip, weights[edges], strip_src)[strip_dst]
+    return float(fpp._solve(grid, weights, _CTX["src_index"], limit=cap)[_CTX["dst"]])
+
+
+def _replicate_value(r: int) -> float:
     ss = np.random.SeedSequence((_CTX["seed"], _CTX["n"], r))
-    if _CTX["tab"] is not None:
-        return _pruned_value(ss)
-    weights = sample(_CTX["dist"], ss, grid.edge_count)
-    field = fpp.WeightField(grid=grid, weights=weights)
-    return float(fpp.distances_from(field, _CTX["src"])[_CTX["dst"]])
+    return _pruned_value(ss) if _CTX["tab"] is not None else _plain_value(ss)
 
 
 def _run_chunk(indices) -> list[float]:

@@ -155,39 +155,110 @@ def force_pruned(monkeypatch):
     monkeypatch.setattr(ex, "_pruned_pays", lambda *timings: True)
 
 
+@pytest.fixture
+def force_plain(monkeypatch):
+    monkeypatch.setattr(ex, "_pruned_pays", lambda *timings: False)
+
+
 @functools.cache
 def _box(d, n):
     return ex.box_for_target(d, n)
 
 
-def _pruned_replicate_ok(dist, d, n, seed, r) -> bool:
-    """Whether the pruned value of replicate r equals, bit for bit, the label
-    of the full field that ``sample`` draws for it, and every table lower
-    bound sits at or below its edge's weight; the row is set up by
-    ``ex._init_worker`` in this process."""
+def _replicate_ok(path, dist, d, n, seed, r) -> bool:
+    """Whether replicate r takes ``path`` ("pruned" or "plain") and its value
+    equals, bit for bit, the label of the full field that ``sample`` draws
+    for it; on the pruned path, also whether every table lower bound sits at
+    or below its edge's weight.  The row is set up by ``ex._init_worker`` in
+    this process."""
     tab = ex._CTX["tab"]
     grid = _box(d, n)
     field = fpp.WeightField(grid=grid, weights=sample(
         dist, np.random.SeedSequence((seed, n, r)), grid.edge_count))
     want = float(fpp.distances_from(field, (0,) * d)[grid.vertex_index((n,) + (0,) * (d - 1))])
-    u = _uniforms(np.random.SeedSequence((seed, n, r)), grid.edge_count)
-    return (tab is not None
-            and bool(np.all(tab[np.floor(u * ex.TABLE_SIZE).astype(int)] <= field.weights))
-            and ex._replicate_value(r).hex() == want.hex())
+    if path == "plain":
+        took = tab is None and ex._CTX["strip"] is not None
+    else:
+        u = _uniforms(np.random.SeedSequence((seed, n, r)), grid.edge_count)
+        took = (tab is not None
+                and bool(np.all(tab[np.floor(u * ex.TABLE_SIZE).astype(int)] <= field.weights)))
+    return took and ex._replicate_value(r).hex() == want.hex()
 
 
-def check_pruned_replicates(dist, d, n, seed, replicates, workers=1):
-    """Check replicates 0..replicates-1, in ``workers`` processes when more
-    than one (the full-field draws dominate the cost); they are forked, so
-    they inherit a patched path choice."""
-    args = [(dist, d, n, seed, r) for r in range(replicates)]
+def check_replicates(path, dist, d, n, seed, replicates, workers=1):
+    """Check replicates 0..replicates-1 on ``path``, in ``workers`` processes
+    when more than one (the full-field draws and solves dominate the cost);
+    they are forked, so they inherit a patched path choice."""
+    args = [(path, dist, d, n, seed, r) for r in range(replicates)]
     if workers == 1:
         ex._init_worker(dist, d, n, seed)
-        ok = [_pruned_replicate_ok(*a) for a in args]
+        ok = [_replicate_ok(*a) for a in args]
     else:
         with mp.get_context("fork").Pool(workers, ex._init_worker, (dist, d, n, seed)) as pool:
-            ok = pool.starmap(_pruned_replicate_ok, args, chunksize=16)
+            ok = pool.starmap(_replicate_ok, args, chunksize=16)
     assert [r for r in range(replicates) if not ok[r]] == []
+
+
+def _strip_edges(grid, n):
+    """Box index of each edge of the strip [0, n] x [-SUB_PAD, SUB_PAD]^(d-1),
+    in strip edge order, through the public edge lookups alone."""
+    d = grid.d
+    strip = fpp.GridSpec(lo=(0,) + (-ex.SUB_PAD,) * (d - 1), hi=(n,) + (ex.SUB_PAD,) * (d - 1))
+    out = []
+    for e in range(strip.edge_count):
+        tail, head = strip.edge_endpoints(e)
+        out.append(grid.edge_index(tail, [h - t for t, h in zip(tail, head)].index(1)))
+    return strip, np.array(out)
+
+
+class TestPlainReplicate:
+    # 4000 d=2 replicates, 80 in d=3, where the full-box oracle costs ~20 ms.
+    @pytest.mark.parametrize("d, n, replicates", [
+        (2, 2, 1000), (2, 3, 1000), (2, 8, 1000), (2, 16, 600), (2, 32, 400),
+        (3, 2, 40), (3, 4, 40)])
+    def test_matches_full_field(self, force_plain, d, n, replicates):
+        check_replicates("plain", DIST, d, n, 1, replicates, workers=2)
+
+    @pytest.mark.parametrize("spec", ["uniform", "halfnormal", "gamma:shape=2"])
+    def test_matches_full_field_other_laws(self, force_plain, spec):
+        check_replicates("plain", parse_distribution(spec), 2, 8, 3, 100)
+
+    @pytest.mark.parametrize("d, n", [(2, 2), (2, 8), (3, 4)])
+    def test_strip_edges_are_the_box_edges(self, force_plain, d, n):
+        ex._init_worker(DIST, d, n, 0)
+        strip, edges = _strip_edges(_box(d, n), n)
+        got, got_edges, got_src, got_dst = ex._CTX["strip"]
+        assert got == strip
+        assert np.array_equal(got_edges, edges)
+        assert got_src == strip.vertex_index((0,) * d)
+        assert got_dst == strip.vertex_index((n,) + (0,) * (d - 1))
+
+    def test_geodesic_off_the_strip(self, force_plain, monkeypatch):
+        # Strip edges cost 10 more than a cheap field around them, so the
+        # geodesic leaves the strip and the strip's label X exceeds T.
+        n = 8
+        grid = _box(2, n)
+        strip, edges = _strip_edges(grid, n)
+        weights = np.random.default_rng(5).uniform(0.5, 1.5, grid.edge_count)
+        weights[edges] += 10.0
+        monkeypatch.setattr(ex, "sample", lambda dist, ss, count: weights.copy())
+        ex._init_worker(DIST, 2, n, 0)
+        want = float(fpp.distances_from(fpp.WeightField(grid=grid, weights=weights),
+                                        (0, 0))[grid.vertex_index((n, 0))])
+        cap = fpp.distances_from(fpp.WeightField(grid=strip, weights=weights[edges]),
+                                 (0, 0))[strip.vertex_index((n, 0))]
+        assert cap > want
+        assert ex._replicate_value(0).hex() == want.hex()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_bad_weights_fail_loudly(self, force_plain, monkeypatch, bad):
+        grid = _box(2, 4)
+        weights = np.ones(grid.edge_count)
+        weights[-1] = bad
+        monkeypatch.setattr(ex, "sample", lambda dist, ss, count: weights.copy())
+        ex._init_worker(DIST, 2, 4, 0)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            ex._replicate_value(0)
 
 
 class TestPrunedReplicate:
@@ -197,10 +268,10 @@ class TestPrunedReplicate:
         *[(spec, 8, count) for spec, count in zip(PRUNED_LAWS, (400, 200, 200, 850, 200))],
         *[(spec, 32, 30) for spec in PRUNED_LAWS]])
     def test_matches_full_field(self, force_pruned, spec, n, replicates):
-        check_pruned_replicates(parse_distribution(spec), 2, n, 1, replicates, workers=2)
+        check_replicates("pruned", parse_distribution(spec), 2, n, 1, replicates, workers=2)
 
     def test_matches_full_field_d3(self, force_pruned):
-        check_pruned_replicates(parse_distribution("gamma:shape=2"), 3, 4, 2, 4, workers=2)
+        check_replicates("pruned", parse_distribution("gamma:shape=2"), 3, 4, 2, 4, workers=2)
 
     @settings(max_examples=100, deadline=None)
     @given(st.one_of(
@@ -211,7 +282,7 @@ class TestPrunedReplicate:
     def test_matches_full_field_drawn_laws(self, dist, seed):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ex, "_pruned_pays", lambda *timings: True)
-            check_pruned_replicates(dist, 2, 2, seed, 1)
+            check_replicates("pruned", dist, 2, 2, seed, 1)
 
     @pytest.mark.parametrize("spec", PRUNED_LAWS + ["exp:rate=1", "uniform"])
     def test_table_is_the_quantile_at_its_levels(self, spec):
@@ -234,7 +305,7 @@ class TestPrunedReplicate:
         # Draws stop at 1 - 2^-52: at 1 - 2^-53, (1 + u) / 2 rounds to 1 in
         # scipy's halfnormal ndtri((1 + u) / 2), which is inf.
         assert ex._lower_table(half_normal())[0] is not None
-        check_pruned_replicates(half_normal(), 2, 4, 0, 4)
+        check_replicates("pruned", half_normal(), 2, 4, 0, 4)
 
     def test_bad_exact_weights_fail_loudly(self):
         lower = np.zeros(4)
