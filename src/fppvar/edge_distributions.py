@@ -183,6 +183,8 @@ def parse_distribution(spec: str) -> EdgeDistribution:
             key = key.strip()
             if not eq or key not in keys:
                 raise ValueError(f"bad distribution parameter {pair!r} for {name!r}")
+            if key in kwargs:
+                raise ValueError(f"repeated distribution parameter {key!r} in {spec!r}")
             kwargs[key] = float(val)
     return ctor(**kwargs)
 

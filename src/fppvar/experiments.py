@@ -31,18 +31,14 @@ weights are checked finite and at least L (so nonnegative), as
 ``WeightField`` checks a full field.
 
 Bounded plain replicate.  A row on the plain path draws the full field with
-``sample`` and validates it as ``WeightField`` does, then solves twice:
-
-1. Solve the strip [0, n] x [-SUB_PAD, SUB_PAD]^(d-1) under the field's
-   own weights; X is its label at the target.
-2. Solve the box with ``limit=X``; its label at the target is the value.
-
-X is the minimum left fold over the strip's paths, each of which is also a
-path of the box, so X >= T exactly.  A solve with any limit at least T
-returns T's bits (fact 1 in the ``fpp`` module docstring), so the value is
-bit-identical to the full solve's with no margin.  The capped solve labels
-only the vertices within X of the source: in d=2 about a fifth of the box
-at n=8, half at n=16 and three quarters at n >= 32; in d=3 a few percent.
+``sample`` and validates it as ``WeightField`` does, then solves it as every
+point-to-point query in ``fpp`` does (``fpp._bounded_solve``): first the
+strip [0, n] x [-fpp.SUB_PAD, fpp.SUB_PAD]^(d-1), whose label X at the
+target is at least T; then the box with a limit of X plus a tie margin.  The
+capped label at the target is the full solve's, bit for bit (fact 1 in the
+``fpp`` module docstring).  The capped solve labels only the vertices within
+the limit of the source: in d=2 about a fifth of the box at n=8, half at
+n=16 and three quarters at n >= 32; in d=3 a few percent.
 
 A row takes the pruned path when ``_init_worker`` finds a valid table and
 the quantile time per field exceeds BREAK_EVEN solve times, both timed
@@ -122,8 +118,6 @@ TABLE_SIZE = 4096
 # on a busy host, and the margin keeps such a law from flipping to the
 # pruned path where it runs slower.
 BREAK_EVEN = 1.5
-# Half-width of the strip whose label at the target caps a plain solve.
-SUB_PAD = 4
 
 # Per-process context for replicate evaluation; set by the pool initializer
 # (inherited state must not leak between configurations, hence keyed setup).
@@ -157,26 +151,11 @@ def _lower_table(dist: EdgeDistribution) -> tuple[np.ndarray | None, float]:
     return (tab if ok else None), draw_s
 
 
-def _strip(box: fpp.GridSpec, n: int) -> tuple[fpp.GridSpec, np.ndarray, int, int]:
-    """The strip [0, n] x [-SUB_PAD, SUB_PAD]^(d-1) inside ``box``: its grid,
-    the box index of each strip edge in strip edge order, and the strip's
-    source and target vertex indices."""
-    d = box.d
-    strip = fpp.GridSpec(lo=(0,) + (-SUB_PAD,) * (d - 1), hi=(n,) + (SUB_PAD,) * (d - 1))
-    offsets = tuple(slice(l - b, h - b + 1) for l, h, b in zip(strip.lo, strip.hi, box.lo))
-    at = box._index[offsets].ravel()
-    tails, heads = strip._edge_arrays
-    edges = box._edges_between(at[tails], at[heads])
-    strip._csr_matrix  # filled here, not in the first replicate
-    return (strip, edges, strip.vertex_index((0,) * d),
-            strip.vertex_index((n,) + (0,) * (d - 1)))
-
-
 def _init_worker(dist: EdgeDistribution, d: int, n: int, seed: int) -> None:
     grid = box_for_target(d, n)
     src = grid.vertex_index((0,) * d)
-    _CTX.update(dist=dist, grid=grid, n=n, seed=seed, src_index=src,
-                dst=grid.vertex_index((n,) + (0,) * (d - 1)), tab=None, strip=None)
+    dst = grid.vertex_index((n,) + (0,) * (d - 1))
+    _CTX.update(dist=dist, grid=grid, n=n, seed=seed, src_index=src, dst=dst, tab=None)
     # Fill the grid caches every replicate reads here, not in the first one.
     grid.edge_count
     grid._csr_template
@@ -193,7 +172,8 @@ def _init_worker(dist: EdgeDistribution, d: int, n: int, seed: int) -> None:
         if _pruned_pays(draw_s, solve_s, grid.edge_count):
             _CTX["tab"] = tab
             return
-    _CTX["strip"] = _strip(grid, n)
+    # The strip that caps each plain solve, memoised on the grid.
+    fpp._sub_box(grid, src, dst)
 
 
 def _exact(dist: EdgeDistribution, u: np.ndarray, lower: np.ndarray,
@@ -224,13 +204,11 @@ def _pruned_value(ss) -> float:
 
 
 def _plain_value(ss) -> float:
-    """The replicate value from the full field, solved under a cap from the
-    strip (module docstring)."""
-    grid = _CTX["grid"]
-    strip, edges, strip_src, strip_dst = _CTX["strip"]
+    """The replicate value from the full field, by the bounded solve of
+    ``fpp`` (module docstring)."""
+    grid, dst = _CTX["grid"], _CTX["dst"]
     weights = fpp.WeightField(grid=grid, weights=sample(_CTX["dist"], ss, grid.edge_count)).weights
-    cap = fpp._solve(strip, weights[edges], strip_src)[strip_dst]
-    return float(fpp._solve(grid, weights, _CTX["src_index"], limit=cap)[_CTX["dst"]])
+    return float(fpp._bounded_solve(grid, weights, _CTX["src_index"], dst)[dst])
 
 
 def _replicate_value(r: int) -> float:
@@ -238,7 +216,20 @@ def _replicate_value(r: int) -> float:
     return _pruned_value(ss) if _CTX["tab"] is not None else _plain_value(ss)
 
 
+def _init_pool_worker(*args) -> None:
+    """Pool initializer: keeps the exception of ``_init_worker`` for
+    ``_run_chunk`` to raise, since ``mp.Pool`` replaces a worker whose
+    initializer raises, for good, and its ``map`` never returns."""
+    _CTX["error"] = None
+    try:
+        _init_worker(*args)
+    except Exception as exc:
+        _CTX["error"] = exc
+
+
 def _run_chunk(indices) -> list[float]:
+    if _CTX.get("error") is not None:
+        raise _CTX["error"]
     return [_replicate_value(r) for r in indices]
 
 
@@ -249,7 +240,7 @@ def _replicate_values(dist: EdgeDistribution, d: int, n: int, samples: int,
         _init_worker(dist, d, n, seed)
         parts = [_run_chunk(c) for c in chunks]
     else:
-        with mp.Pool(workers, initializer=_init_worker,
+        with mp.Pool(workers, initializer=_init_pool_worker,
                      initargs=(dist, d, n, seed)) as pool:
             parts = pool.map(_run_chunk, chunks)
     return np.concatenate([np.asarray(p) for p in parts])

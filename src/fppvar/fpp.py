@@ -24,7 +24,13 @@ Two facts carry every bounded solve in the package, and a third the tie check.
    float addition of nonnegative numbers is monotone.  So a label never
    decreases when one weight grows.  A solve with ``limit=L`` returns the
    same bits at every vertex whose label is at most L, and ``inf`` at the
-   rest: no prefix of a path folds to more than the whole path.
+   rest: no prefix of a path folds to more than the whole path.  Every
+   point-to-point query rests on this (:func:`_bounded_solve`): the label X
+   at t of a sub-box around s and t is a minimum fold over paths of the box
+   too, so X >= T, and the box solve capped at any L >= X has T's bits at t.
+   The capped predecessor tree is csgraph's full tree at every labelled
+   vertex, exact ties included (checked on tie-heavy fields in the tests),
+   so the geodesic read from it is the full solve's.
 2. *Pruning* (:func:`_prune`).  Let weights lo be each at most the
    weight w of its edge, d_s labels from s under lo (a solve with
    ``limit=B`` will do), and d_t the labels from t under lo with
@@ -49,6 +55,16 @@ Two facts carry every bounded solve in the package, and a third the tie check.
    edge off g enters g; conversely, the tree path to a, then e, then g from
    b has excess e's reduced cost.  In float fl(d_s[a] + w_e) >= d_s[b]
    exactly (fact 1), so no computed reduced cost is negative.
+   *Capped labels.*  The tie check reads the labels of the capped solve,
+   whose limit L = X + 2 TIE_TOL max(1, X) in float.  Every vertex b of g
+   has d_s[b] <= T <= X, and tol = TIE_TOL max(1, T) is at most the float
+   TIE_TOL max(1, X); rounding the sum costs at most half an ulp of L,
+   about 1e-16 L against tol >= 1e-12 L.  So L - d_s[b] > 1.9 tol.  An
+   edge whose tail a lies past the limit (label ``inf`` here) has, in the
+   full solve, fl(d_s[a] + w_e) >= d_s[a] > L, and by monotone rounding a
+   computed reduced cost above tol: no tie, in either solve.  At every
+   other edge the two solves share d_s[a] bit for bit (fact 1), so the
+   verdicts and their messages do not change.
 """
 
 from __future__ import annotations
@@ -67,6 +83,14 @@ from .edge_distributions import EdgeDistribution, parse_distribution, sample
 TIE_TOL = 1e-12
 # Relative margin of a bounded solve's limit over its label (module docstring, fact 2).
 MARGIN = 1e-9
+# Half-width of a point-to-point query's sub-box around the span of its two
+# endpoints, on every axis but the one along which they lie farthest apart.
+SUB_PAD = 4
+# A grid's memo of query sub-boxes starts over once it holds this many
+# (s, t) pairs, a few hundred bytes each, or its sub-grids hold more edges
+# than this many copies of the grid, about 56 bytes per edge.
+_MEMO_PAIRS = 4096
+_MEMO_BOXES = 4
 
 
 class GeodesicTieError(RuntimeError):
@@ -104,7 +128,7 @@ class GridSpec:
 
     @cached_property
     def edge_count(self) -> int:
-        return sum(self.vertex_count // e * (e - 1) for e in self.extents)
+        return self._edge_blocks[-1][1]
 
     def contains(self, v: Sequence[int]) -> bool:
         return all(l <= c <= h for c, l, h in zip(v, self.lo, self.hi))
@@ -125,6 +149,17 @@ class GridSpec:
         axes = range(self.d)
         return (np.concatenate([np.delete(self._index, -1, a).ravel() for a in axes]),
                 np.concatenate([np.delete(self._index, 0, a).ravel() for a in axes]))
+
+    @cached_property
+    def _edge_blocks(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+        """Per axis, the (start, stop) of its edges in edge-index order and
+        their shape: the box shortened by one along the axis, row-major."""
+        blocks, start = [], 0
+        for k, e in enumerate(self.extents):
+            stop = start + self.vertex_count // e * (e - 1)
+            blocks.append((start, stop, self.extents[:k] + (e - 1,) + self.extents[k + 1:]))
+            start = stop
+        return tuple(blocks)
 
     @property
     def edge_tails(self) -> np.ndarray:
@@ -187,6 +222,12 @@ class GridSpec:
         indptr = np.zeros(self.vertex_count + 1, dtype=np.int32)
         np.cumsum(np.bincount(rows, minlength=self.vertex_count), out=indptr[1:])
         return indptr, cols[slots].astype(np.int32), slots % self.edge_count
+
+    @cached_property
+    def _sub_memo(self) -> tuple[dict, dict]:
+        """The memo of :func:`_sub_box` on this grid: sub-grids by extents,
+        and entries by (s, t) vertex index pair."""
+        return {}, {}
 
     @cached_property
     def _csr_matrix(self) -> csr_matrix:
@@ -267,6 +308,64 @@ def _solve(grid: GridSpec, weights: np.ndarray, source: int, **options):
     return _csgraph_dijkstra(mat, directed=True, indices=source, **options)
 
 
+def _sub_box(grid: GridSpec, s: int, t: int) -> tuple[GridSpec, tuple, int, int]:
+    """The sub-box of the query from vertex index s to t (s != t): its grid,
+    its edge picks (read by :func:`_sub_weights`), and the sub-grid indices
+    of s and t.  The sub-box spans s and t, widened by SUB_PAD on every axis
+    but the first along which they lie farthest apart, and clipped to the
+    box; for 0 and n*e1 it is the strip [0, n] x [-SUB_PAD, SUB_PAD]^(d-1).
+    One sub-grid serves every sub-box of a shape.  Sub-grid edge order is
+    the box's restricted to the sub-box, so each axis's sub-box edges are one
+    basic slice of that axis's edge block."""
+    shapes, pairs = grid._sub_memo
+    hit = pairs.get((s, t))
+    if hit is not None:
+        return hit
+    # Offsets of s and t from the box's lower corner.
+    a = [int(c) for c in np.unravel_index(s, grid.extents)]
+    b = [int(c) for c in np.unravel_index(t, grid.extents)]
+    gaps = [abs(x - y) for x, y in zip(a, b)]
+    span = gaps.index(max(gaps))
+    pad = [0 if k == span else SUB_PAD for k in range(grid.d)]
+    lo = [max(min(x, y) - p, 0) for x, y, p in zip(a, b, pad)]
+    hi = [min(max(x, y) + p, e - 1) for x, y, p, e in zip(a, b, pad, grid.extents)]
+    extents = tuple(h - l + 1 for l, h in zip(lo, hi))
+    if (len(pairs) == _MEMO_PAIRS
+            or sum(g.edge_count for g in shapes.values()) > _MEMO_BOXES * grid.edge_count):
+        shapes.clear()
+        pairs.clear()
+    sub = shapes.get(extents)
+    if sub is None:
+        sub = shapes[extents] = GridSpec(lo=(0,) * grid.d, hi=tuple(e - 1 for e in extents))
+        sub._csr_matrix  # filled here, not in the first solve
+    picks = tuple((start, stop, shape,
+                   tuple(slice(l, h + (j != k)) for j, (l, h) in enumerate(zip(lo, hi))))
+                  for k, (start, stop, shape) in enumerate(grid._edge_blocks))
+    pairs[s, t] = hit = (sub, picks, sub._index.item(tuple(x - l for x, l in zip(a, lo))),
+                         sub._index.item(tuple(y - l for y, l in zip(b, lo))))
+    return hit
+
+
+def _sub_weights(weights: np.ndarray, picks: tuple) -> np.ndarray:
+    """The weights of a sub-box's edges, in sub-grid edge order, from the
+    edge picks of :func:`_sub_box`."""
+    return np.concatenate([weights[start:stop].reshape(shape)[region]
+                           for start, stop, shape, region in picks], axis=None)
+
+
+def _bounded_solve(grid: GridSpec, weights: np.ndarray, s: int, t: int, **options):
+    """The solve from vertex index s that every query from s to t reads:
+    the box under ``weights`` with ``limit`` the label X at t of the sub-box
+    (:func:`_sub_box`), plus fact 3's tie margin; X = 0 when s == t.  Its
+    label at t is the full solve's, bit for bit (module docstring, fact 1).
+    ``options`` pass through to :func:`_solve`."""
+    cap = 0.0
+    if s != t:
+        sub, picks, a, b = _sub_box(grid, s, t)
+        cap = _solve(sub, _sub_weights(weights, picks), a)[b]
+    return _solve(grid, weights, s, limit=cap + 2.0 * TIE_TOL * max(1.0, cap), **options)
+
+
 def _prune(grid: GridSpec, d_src: np.ndarray, target: int,
            weights: np.ndarray, bound: float) -> np.ndarray:
     """A copy of ``weights`` with ``inf`` off the edges kept by the keep test
@@ -291,18 +390,21 @@ def _tree_path(grid: GridSpec, pred: np.ndarray, source: int, target: int) -> np
 
 
 def distances_from(field: WeightField, u: Sequence[int]) -> np.ndarray:
-    """All shortest-path distances (csgraph labels) from u."""
+    """All shortest-path distances (csgraph labels) from u: the one full
+    solve of the package."""
     return _solve(field.grid, field.weights, field.grid.vertex_index(u))
 
 
 def _passage(field: WeightField, u: Sequence[int],
              v: Sequence[int]) -> tuple[PassageResult, np.ndarray, np.ndarray]:
     """The passage result from u to v, the labels from u and the geodesic's
-    vertices from u.  Dijkstra sets a label to its tree parent's plus the edge
-    weight, so the label at v must be the left fold of the path's weights."""
+    vertices from u.  The labels are capped (:func:`_bounded_solve`) and
+    ``inf`` past the cap.  Dijkstra sets a label to its tree parent's plus
+    the edge weight, so the label at v must be the left fold of the path's
+    weights."""
     grid = field.grid
     ui, vi = grid.vertex_index(u), grid.vertex_index(v)
-    ds, pred = _solve(grid, field.weights, ui, return_predecessors=True)
+    ds, pred = _bounded_solve(grid, field.weights, ui, vi, return_predecessors=True)
     chain = _tree_path(grid, pred, ui, vi)[::-1]
     edges = grid._edges_between(chain[:-1], chain[1:])
     fold = np.add.accumulate(field.weights[edges])
@@ -320,7 +422,8 @@ def passage_time(field: WeightField, u: Sequence[int], v: Sequence[int]) -> Pass
 def edge_derivative(field: WeightField, v: Sequence[int], e: int) -> int:
     """1 if edge e lies on the unique geodesic from the origin to v, else 0.
 
-    One solve: its labels also certify uniqueness (module docstring, fact 3).
+    The passage solve's capped labels also certify uniqueness (module
+    docstring, fact 3).
     Raises :class:`GeodesicTieError`, naming the edge, when an edge off the
     geodesic enters it with reduced cost at most tol = TIE_TOL * max(1, T).
     """
@@ -380,7 +483,7 @@ def single_edge_response(field: WeightField, v: Sequence[int], e: int,
     # the curve is flat from the first point that reaches it.
     weights = field.weights.copy()
     weights[e] = ys[-1]
-    top = _solve(grid, weights, origin)[vi]
+    top = _bounded_solve(grid, weights, origin, vi)[vi]
     bound = top * (1.0 + MARGIN)
     weights[e] = 0.0
     d0 = _solve(grid, weights, origin, limit=bound)
@@ -413,4 +516,5 @@ def averaged_passage_time(a, field: WeightField, v: Sequence[int], m: int) -> fl
     shifted = tuple(c + zc for c, zc in zip(v, z))
     if not grid.contains(z) or not grid.contains(shifted):
         raise ValueError("box too small for the shifted endpoints")
-    return float(distances_from(field, z)[grid.vertex_index(shifted)])
+    zi, si = grid.vertex_index(z), grid.vertex_index(shifted)
+    return float(_bounded_solve(grid, field.weights, zi, si)[si])

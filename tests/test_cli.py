@@ -235,6 +235,13 @@ class TestFpp:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    def test_repeated_dist_key_exits_2(self, capsys):
+        code, out, err = run(capsys, "fpp", "sweep", "--dist", "gamma:shape=2,shape=3",
+                             "--ns", "8", "--samples", "120")
+        assert code == 2
+        assert out == ""
+        assert "repeated distribution parameter 'shape'" in err
+
     def test_bad_ns(self, capsys):
         code, _, err = run(capsys, "fpp", "sweep", "--ns", "8,banana",
                            "--samples", "120", "--seed", "0")

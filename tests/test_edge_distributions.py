@@ -212,6 +212,14 @@ class TestParser:
             with pytest.raises(ValueError):
                 ed.parse_distribution(bad)
 
+    @pytest.mark.parametrize("spec", ["gamma:shape=2,shape=3", "beta:a=2,b=3,a=2",
+                                      "exp:rate=1, rate=1"])
+    def test_repeated_key_refused(self, spec):
+        # Once the last value won: gamma:shape=2,shape=3 built shape 3.
+        key = spec.split(":")[1].split(",")[0].split("=")[0]
+        with pytest.raises(ValueError, match=f"repeated distribution parameter '{key}'"):
+            ed.parse_distribution(spec)
+
     def test_names_round_trip(self):
         for dist in FAMILIES:
             assert ed.parse_distribution(dist.name).name == dist.name

@@ -1,6 +1,12 @@
 import functools
 import math
 import multiprocessing as mp
+import os
+import pathlib
+import signal
+import subprocess
+import sys
+import textwrap
 from types import SimpleNamespace
 
 import numpy as np
@@ -31,6 +37,32 @@ class TestBox:
         g = ex.box_for_target(3, 8)
         assert g.d == 3
         assert g.hi == (24, 16, 16)
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_padding_doubling(self, n):
+        # 200 acceptance-sweep fields per n, each embedded in a box with twice
+        # the padding: its own weights on its own edges, the new edges drawn
+        # from another seed.  The passage time must keep its bits.
+        seed = 20260810
+        box = ex.box_for_target(2, n)
+        pad = 2 * max(math.ceil(n / 2), 16)
+        big = fpp.GridSpec(lo=(-pad, -pad), hi=(n + pad, pad))
+        embed = []
+        for e in range(box.edge_count):
+            tail, head = box.edge_endpoints(e)
+            embed.append(big.edge_index(tail, 0 if tail[1] == head[1] else 1))
+        changed = []
+        for r in range(200):
+            w = sample(DIST, np.random.SeedSequence((seed, n, r)), box.edge_count)
+            wide = sample(DIST, np.random.SeedSequence((seed + 1, n, r)), big.edge_count)
+            wide[embed] = w
+            t = fpp.distances_from(fpp.WeightField(grid=box, weights=w), (0, 0))[
+                box.vertex_index((n, 0))]
+            t_big = fpp.distances_from(fpp.WeightField(grid=big, weights=wide), (0, 0))[
+                big.vertex_index((n, 0))]
+            if t.hex() != t_big.hex():
+                changed.append((r, float(t), float(t_big)))
+        assert changed == []
 
 
 class TestEstimateVariance:
@@ -150,6 +182,42 @@ class TestFitScaling:
         assert fit.slope_loglog < 1.0
 
 
+class TestPoolInitializerFailure:
+    def test_raises_like_one_worker(self):
+        # mp.Pool replaces a worker whose initializer raises, for good, so a
+        # pool sweep once hung here.  The child process has a deadline, which
+        # turns a hang into a failure instead of a stuck suite.
+        code = textwrap.dedent("""
+            import multiprocessing as mp
+            from fppvar import experiments as ex
+            from fppvar.edge_distributions import exponential
+
+            def fail(dist):
+                raise ValueError("no quantile table")
+
+            mp.set_start_method("fork")
+            ex._lower_table = fail
+            for workers in (1, 2):
+                try:
+                    ex.estimate_variance(exponential(), 2, 8, 200, 1, workers=workers)
+                except ValueError as exc:
+                    print(workers, repr(exc))
+        """)
+        src = str(pathlib.Path(ex.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True, env=env,
+                                start_new_session=True)
+        try:
+            out, err = proc.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("a failing pool initializer hung the sweep")
+        assert proc.returncode == 0, err
+        assert out.splitlines() == [f"{w} ValueError('no quantile table')" for w in (1, 2)]
+
+
 @pytest.fixture
 def force_pruned(monkeypatch):
     monkeypatch.setattr(ex, "_pruned_pays", lambda *timings: True)
@@ -177,7 +245,7 @@ def _replicate_ok(path, dist, d, n, seed, r) -> bool:
         dist, np.random.SeedSequence((seed, n, r)), grid.edge_count))
     want = float(fpp.distances_from(field, (0,) * d)[grid.vertex_index((n,) + (0,) * (d - 1))])
     if path == "plain":
-        took = tab is None and ex._CTX["strip"] is not None
+        took = tab is None
     else:
         u = _uniforms(np.random.SeedSequence((seed, n, r)), grid.edge_count)
         took = (tab is not None
@@ -203,7 +271,7 @@ def _strip_edges(grid, n):
     """Box index of each edge of the strip [0, n] x [-SUB_PAD, SUB_PAD]^(d-1),
     in strip edge order, through the public edge lookups alone."""
     d = grid.d
-    strip = fpp.GridSpec(lo=(0,) + (-ex.SUB_PAD,) * (d - 1), hi=(n,) + (ex.SUB_PAD,) * (d - 1))
+    strip = fpp.GridSpec(lo=(0,) + (-fpp.SUB_PAD,) * (d - 1), hi=(n,) + (fpp.SUB_PAD,) * (d - 1))
     out = []
     for e in range(strip.edge_count):
         tail, head = strip.edge_endpoints(e)
@@ -225,11 +293,16 @@ class TestPlainReplicate:
 
     @pytest.mark.parametrize("d, n", [(2, 2), (2, 8), (3, 4)])
     def test_strip_edges_are_the_box_edges(self, force_plain, d, n):
+        # A plain row's set-up leaves the strip in the box's query memo.
         ex._init_worker(DIST, d, n, 0)
         strip, edges = _strip_edges(_box(d, n), n)
-        got, got_edges, got_src, got_dst = ex._CTX["strip"]
-        assert got == strip
-        assert np.array_equal(got_edges, edges)
+        grid = ex._CTX["grid"]
+        shapes, pairs = grid._sub_memo
+        assert list(pairs) == [(ex._CTX["src_index"], ex._CTX["dst"])]
+        got, picks, got_src, got_dst = pairs[ex._CTX["src_index"], ex._CTX["dst"]]
+        assert got.extents == strip.extents and list(shapes.values()) == [got]
+        assert np.array_equal(fpp._sub_weights(np.arange(grid.edge_count, dtype=float), picks),
+                              edges)
         assert got_src == strip.vertex_index((0,) * d)
         assert got_dst == strip.vertex_index((n,) + (0,) * (d - 1))
 

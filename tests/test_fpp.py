@@ -128,11 +128,22 @@ def exact_labels(grid: fpp.GridSpec, weights: np.ndarray, src: int) -> list[Frac
 
 
 def counting_solves(monkeypatch) -> list:
-    """Patch fpp._solve to record each call's options; return the record."""
+    """Patch fpp._solve to record each call's grid and options; return the record."""
     calls = []
     solve = fpp._solve
-    monkeypatch.setattr(fpp, "_solve", lambda *a, **k: calls.append(k) or solve(*a, **k))
+    monkeypatch.setattr(fpp, "_solve",
+                        lambda grid, *a, **k: calls.append((grid, k)) or solve(grid, *a, **k))
     return calls
+
+
+def assert_bounded_query(calls, grid, **options):
+    """The calls are one bounded query on ``grid``: an unlimited solve of a
+    smaller grid (the sub-box), then one solve of ``grid`` with a finite
+    limit and ``options``."""
+    assert len(calls) == 2, calls
+    (sub, sub_options), (box, box_options) = calls
+    assert sub is not grid and sub.vertex_count < grid.vertex_count and sub_options == {}
+    assert box is grid and np.isfinite(box_options.pop("limit")) and box_options == options
 
 
 class TestGridSpec:
@@ -340,11 +351,12 @@ class TestPassageTime:
                 g.vertex_index((64, 0))]
 
     def test_one_solve(self, monkeypatch):
+        # One bounded query: the sub-box, then the box capped at its label.
         g = fpp.GridSpec(lo=(-2, -2), hi=(6, 6))
         field = fpp.field_from_distribution(g, "exp:rate=1", 3)
         calls = counting_solves(monkeypatch)
         fpp.passage_time(field, (0, 0), (5, 4))
-        assert len(calls) == 1
+        assert_bounded_query(calls, g, return_predecessors=True)
 
     def test_geodesic_is_connected_path(self):
         g = fpp.GridSpec(lo=(0, 0), hi=(5, 5))
@@ -600,8 +612,8 @@ class TestEdgeDerivative:
         assert float(m[5]) == pytest.approx(fpp.TIE_TOL * res.distance, rel=1e-3)
 
     def test_one_solve(self, monkeypatch):
-        # The tie check reads the passage solve's labels: one solve per call,
-        # whether the verdict is 0, 1 or a refusal.
+        # The tie check reads the passage solve's labels: one bounded query
+        # per call, whether the verdict is 0, 1 or a refusal.
         g = fpp.GridSpec(lo=(-2, -2), hi=(8, 6))
         field = fpp.field_from_distribution(g, "exp:rate=1", 5)
         on = fpp.passage_time(field, (0, 0), (5, 2)).geodesic_edges[1]
@@ -610,7 +622,7 @@ class TestEdgeDerivative:
         for f, e, want in ((field, on, 1), (field, g.edge_index((-2, -2), 0), 0), (flat, 0, "tie")):
             calls.clear()
             assert derivative_verdict(f, (5, 2), e) == want
-            assert len(calls) == 1
+            assert_bounded_query(calls, g, return_predecessors=True)
 
     def test_unit_weights_refused(self):
         g = fpp.GridSpec(lo=(0, 0), hi=(4, 4))
@@ -762,21 +774,23 @@ class TestResponseOracle:
             assert got.tobytes() == np.array(want).tobytes()
 
     def test_solve_count(self, monkeypatch):
-        # A flat curve takes two solves; a rising one stops at the plateau,
-        # and every solve after the first carries a limit.
+        # The top point is one bounded query (a sub-box solve, then the box
+        # capped at its label).  A flat curve takes one more solve; a rising
+        # one stops at the plateau, and every solve of the box carries a limit.
         g = fpp.GridSpec(lo=(-4, -4), hi=(8, 6))
         field = fpp.field_from_distribution(g, "exp:rate=1", 3)
         calls = counting_solves(monkeypatch)
         ys = np.linspace(0.0, 30.0, 61)
         fpp.single_edge_response(field, (5, 0), g.edge_index((-4, -4), 0), ys)
-        assert len(calls) == 2
+        assert_bounded_query(calls[:2], g)
+        assert len(calls) == 3 and calls[2][0] is g and "limit" in calls[2][1]
         e = fpp.passage_time(field, (0, 0), (5, 0)).geodesic_edges[2]
         calls.clear()
         curve = fpp.single_edge_response(field, (5, 0), e, ys)
-        limits = [k.get("limit") for k in calls]
         assert curve.breakpoint > 0
-        assert 3 < len(limits) < 61
-        assert limits[0] is None and None not in limits[1:]
+        assert 4 < len(calls) < 62
+        assert_bounded_query(calls[:2], g)
+        assert all(grid is g and "limit" in options for grid, options in calls[2:])
 
 
 class TestAveragedPassageTime:
@@ -831,6 +845,237 @@ class TestAveragedPassageTime:
         ones = np.ones((2, 4))
         assert (fpp.averaged_passage_time(ones, field, (8, 0), 2)
                 == fpp.averaged_passage_time(ones.astype(int), field, (8, 0), 2))
+
+
+def oracle_tree(grid: fpp.GridSpec, weights: np.ndarray, src: int) -> tuple[np.ndarray, np.ndarray]:
+    """Labels and predecessors from vertex index src by the solve of
+    :func:`oracle_labels`."""
+    shape = (grid.vertex_count, grid.vertex_count)
+    upper = csr_matrix((weights, (grid.edge_tails, grid.edge_heads)), shape=shape)
+    return dijkstra(upper, directed=False, indices=src, return_predecessors=True)
+
+
+def tree_edges(grid: fpp.GridSpec, pred: np.ndarray, src: int, dst: int) -> tuple[int, ...]:
+    """Edges of the predecessor tree path from src to dst, in path order."""
+    adj = adjacency(grid)
+    back, cur = [], dst
+    while cur != src:
+        nxt = int(pred[cur])
+        back.append(next(e for x, e in adj[cur] if x == nxt))
+        cur = nxt
+    return tuple(reversed(back))
+
+
+def sub_box_bounds(grid: fpp.GridSpec, s, t) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Bounds of the sub-box of the query from s to t, by its rule: the span
+    of s and t, widened by SUB_PAD on every axis but the first one of largest
+    gap, and clipped to the box."""
+    gaps = [abs(a - b) for a, b in zip(s, t)]
+    wide = [0 if k == gaps.index(max(gaps)) else fpp.SUB_PAD for k in range(grid.d)]
+    lo = tuple(max(min(a, b) - p, l) for a, b, p, l in zip(s, t, wide, grid.lo))
+    hi = tuple(min(max(a, b) + p, h) for a, b, p, h in zip(s, t, wide, grid.hi))
+    return lo, hi
+
+
+def sub_box_edges(grid: fpp.GridSpec, lo, hi) -> tuple[fpp.GridSpec, list[int]]:
+    """The sub-box [lo, hi] as a grid of its own, and the box index of each of
+    its edges, in its edge order, through the public edge lookups alone."""
+    sub = fpp.GridSpec(lo=tuple(lo), hi=tuple(hi))
+    out = []
+    for e in range(sub.edge_count):
+        tail, head = sub.edge_endpoints(e)
+        out.append(grid.edge_index(tail, [h - c for c, h in zip(tail, head)].index(1)))
+    return sub, out
+
+
+def query_pairs(rng, grid: fpp.GridSpec, count: int) -> list:
+    """(s, t) pairs: random ones, opposite and nearby box corners (clipped
+    sub-boxes), s == t, and adjacent vertices."""
+    lo, hi = np.array(grid.lo), np.array(grid.hi)
+    pairs = [(tuple(rng.integers(lo, hi + 1).tolist()), tuple(rng.integers(lo, hi + 1).tolist()))
+             for _ in range(count)]
+    pairs += [(grid.lo, grid.hi), (grid.hi, tuple((lo + 1).tolist())),
+              (grid.lo, tuple((lo + np.array([2] + [1] * (grid.d - 1))).tolist()))]
+    s = tuple(rng.integers(lo, hi).tolist())
+    pairs += [(s, s), (s, tuple(c + (k == grid.d - 1) for k, c in enumerate(s)))]
+    return pairs
+
+
+class TestBoundedQuery:
+    """The bounded point-to-point solve against full solves of a matrix built
+    here (:func:`oracle_tree`), bit for bit."""
+
+    GRIDS = [fpp.GridSpec(lo=(-3, -2), hi=(9, 6)), box_for_target(2, 8),
+             fpp.GridSpec(lo=(-2, -2, -2), hi=(6, 3, 3))]
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=["d2", "d2-box", "d3"])
+    def test_labels_and_geodesic_match_full_solve(self, grid):
+        rng = np.random.default_rng(grid.vertex_count)
+        seen = collections.Counter()
+        for case in range(24):
+            if case % 3 == 2:
+                w = tie_heavy(rng, grid.edge_count)
+            else:
+                w = sample(parse_distribution(("exp:rate=1", "gamma:shape=2")[case % 3]),
+                           case, grid.edge_count)
+            field = fpp.WeightField(grid=grid, weights=w)
+            for s, t in query_pairs(rng, grid, 4):
+                si, ti = grid.vertex_index(s), grid.vertex_index(t)
+                full, pred = oracle_tree(grid, w, si)
+                labels, got_pred = fpp._bounded_solve(grid, w, si, ti, return_predecessors=True)
+                kept = np.isfinite(labels)
+                assert labels[kept].tobytes() == full[kept].tobytes()
+                assert np.all(kept[full <= full[ti]]) and np.all(got_pred[~kept] < 0)
+                assert np.array_equal(got_pred[kept], pred[kept])
+                res = fpp.passage_time(field, s, t)
+                assert res.distance.hex() == full[ti].hex()
+                assert res.geodesic_edges == tree_edges(grid, pred, si, ti)
+                lo, hi = sub_box_bounds(grid, s, t)
+                seen["at the box edge"] += (0 in np.subtract(lo, grid.lo)
+                                            or 0 in np.subtract(grid.hi, hi))
+                seen["same"] += s == t
+                seen["adjacent"] += sum(abs(a - b) for a, b in zip(s, t)) == 1
+        assert min(seen[k] for k in ("at the box edge", "same", "adjacent")) >= 20, seen
+
+    def test_geodesic_leaving_the_sub_box(self):
+        # Sub-box edges cost 10 more than the field around them, so the
+        # geodesic leaves the sub-box and its label X exceeds T.
+        grid = fpp.GridSpec(lo=(-6, -6), hi=(14, 6))
+        s, t = (0, 0), (8, 1)
+        lo, hi = sub_box_bounds(grid, s, t)
+        sub, edges = sub_box_edges(grid, lo, hi)
+        for seed in range(10):
+            w = np.random.default_rng(seed).uniform(0.5, 1.5, grid.edge_count)
+            w[edges] += 10.0
+            si, ti = grid.vertex_index(s), grid.vertex_index(t)
+            full, pred = oracle_tree(grid, w, si)
+            cap = oracle_labels(sub, w[edges], sub.vertex_index(s))[sub.vertex_index(t)]
+            assert cap > full[ti]
+            res = fpp.passage_time(fpp.WeightField(grid=grid, weights=w), s, t)
+            assert res.distance.hex() == full[ti].hex()
+            assert res.geodesic_edges == tree_edges(grid, pred, si, ti)
+            assert not all(sub.contains(p) for e in res.geodesic_edges
+                           for p in grid.edge_endpoints(e))
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=["d2", "d2-box", "d3"])
+    def test_predecessor_trees_on_exact_ties(self, grid):
+        # 200 integer-weight fields per grid, with zero weights and many
+        # equal-length paths: the capped tree is the full tree at every
+        # labelled vertex (ROADMAP item 1).
+        rng = np.random.default_rng(7 + grid.d)
+        labelled = 0
+        for case in range(200):
+            w = rng.integers(0, 3, grid.edge_count).astype(float) if case % 4 else (
+                np.ones(grid.edge_count))
+            s, t = query_pairs(rng, grid, 1)[int(rng.integers(6))]
+            si, ti = grid.vertex_index(s), grid.vertex_index(t)
+            full, pred = oracle_tree(grid, w, si)
+            labels, got = fpp._bounded_solve(grid, w, si, ti, return_predecessors=True)
+            kept = np.isfinite(labels)
+            assert np.array_equal(got[kept], pred[kept]), case
+            labelled += int(kept.sum())
+        assert labelled > 20 * grid.vertex_count
+
+    def test_tie_entering_at_the_target_past_the_label(self):
+        # An edge off the geodesic enters it at the target v from a tail
+        # whose label lies within tol above T.  Where T is the sub-box label
+        # X, a limit of X alone leaves that tail unlabelled; the verdicts
+        # must still be those of the tie rule on full labels (fact 3).
+        g = fpp.GridSpec(lo=(-3, -3), hi=(9, 5))
+        v = (6, 1)
+        src, vi = g.vertex_index((0, 0)), g.vertex_index(v)
+        lo, hi = sub_box_bounds(g, (0, 0), v)
+        sub, sub_edges = sub_box_edges(g, lo, hi)
+        adj = adjacency(g)
+        seen = collections.Counter()
+        for seed in range(30):
+            w = sample(exponential(), seed, g.edge_count)
+            ds, pred = oracle_tree(g, w, src)
+            path = tree_edges(g, pred, src, vi)
+            on = {src} | {p for k in path for p in (int(g.edge_tails[k]), int(g.edge_heads[k]))}
+            for a, e in adj[vi]:
+                if a in on:
+                    continue
+                c, f = min(((c, f) for c, f in adj[a] if c != vi), key=lambda cf: ds[cf[0]])
+                t_ = ds[vi]
+                tol = fpp.TIE_TOL * max(1.0, t_)
+                # Lowering f brings a to just above T, and nothing below T.
+                if not ds[c] < t_ < t_ + tol < ds[a]:
+                    continue
+                for above, w_e in ((1 / 3, 1 / 2), (1 / 2, 3 / 4)):
+                    w2 = w.copy()
+                    w2[e] = w_e * tol
+                    w2[f] = (t_ + above * tol) - ds[c]
+                    d2 = oracle_labels(g, w2, src)
+                    assert d2[vi] == t_ and t_ < d2[a] <= t_ + tol
+                    reduced = (d2[a] + w2[e]) - d2[vi]
+                    field = fpp.WeightField(grid=g, weights=w2)
+                    for k in (e, path[len(path) // 2]):
+                        want = "tie" if reduced <= tol else int(k in path)
+                        assert derivative_verdict(field, v, k) == want, (seed, a, k)
+                        seen[want] += 1
+                    cap = oracle_labels(sub, w2[sub_edges], sub.vertex_index((0, 0)))[
+                        sub.vertex_index(v)]
+                    seen["tail past X"] += bool(d2[a] > cap)
+        assert min(seen[k] for k in ("tie", 0, 1)) >= 10 and seen["tail past X"] >= 10, seen
+
+    def test_sub_box_edges_are_the_box_edges(self):
+        # Every entry against the sub-box rule and the public edge lookups:
+        # the edge picks gather each sub edge's box index from an array of
+        # edge indices.
+        for grid in (self.GRIDS[0], self.GRIDS[2], box_for_target(2, 16)):
+            rng = np.random.default_rng(grid.edge_count)
+            ids = np.arange(grid.edge_count, dtype=float)
+            for s, t in query_pairs(rng, grid, 12):
+                if s == t:
+                    continue
+                sub, picks, a, b = fpp._sub_box(grid, grid.vertex_index(s), grid.vertex_index(t))
+                lo, hi = sub_box_bounds(grid, s, t)
+                want_sub, want = sub_box_edges(grid, lo, hi)
+                assert sub.extents == want_sub.extents
+                assert fpp._sub_weights(ids, picks).tolist() == want
+                assert (a, b) == (want_sub.vertex_index(s), want_sub.vertex_index(t))
+        # 0 to n*e1: the strip [0, n] x [-SUB_PAD, SUB_PAD].
+        box = box_for_target(2, 16)
+        sub = fpp._sub_box(box, box.vertex_index((0, 0)), box.vertex_index((16, 0)))[0]
+        assert sub.extents == (17, 2 * fpp.SUB_PAD + 1)
+
+    def test_grids_do_not_share_entries(self):
+        # Three grids where one (s, t) index pair names other vertices, and
+        # a fourth equal to the first: each answers from its own memo.
+        grids = [fpp.GridSpec(lo=(0, 0), hi=(12, 8)), fpp.GridSpec(lo=(-6, -4), hi=(6, 4)),
+                 fpp.GridSpec(lo=(0, 0), hi=(8, 12)), fpp.GridSpec(lo=(0, 0), hi=(12, 8))]
+        si, ti = 3, 80
+        for grid in grids:
+            w = sample(exponential(), 1, grid.edge_count)
+            _, picks, _, _ = fpp._sub_box(grid, si, ti)
+            s, t = grid.vertex_coords(si), grid.vertex_coords(ti)
+            want = sub_box_edges(grid, *sub_box_bounds(grid, s, t))[1]
+            assert fpp._sub_weights(np.arange(grid.edge_count, dtype=float), picks).tolist() == want
+            got = fpp.passage_time(fpp.WeightField(grid=grid, weights=w), s, t).distance
+            assert got.hex() == oracle_labels(grid, w, si)[ti].hex()
+        memos = [grid._sub_memo for grid in grids]
+        assert len({id(m) for m in memos}) == 4 and all(list(m[1]) == [(si, ti)] for m in memos)
+        assert len({id(m[1][si, ti]) for m in memos}) == 4
+
+    @pytest.mark.parametrize("limit", ["pairs", "boxes"])
+    def test_memo_starts_over(self, monkeypatch, limit):
+        # Past _MEMO_PAIRS pairs, or sub-grids holding more edges than
+        # _MEMO_BOXES grids, the memo is cleared; the answers do not change.
+        monkeypatch.setattr(fpp, "_MEMO_PAIRS", 5 if limit == "pairs" else 10 ** 6)
+        monkeypatch.setattr(fpp, "_MEMO_BOXES", 1 if limit == "boxes" else 10 ** 6)
+        grid = fpp.GridSpec(lo=(-3, -2), hi=(9, 6))
+        w = sample(exponential(), 2, grid.edge_count)
+        field = fpp.WeightField(grid=grid, weights=w)
+        full = oracle_labels(grid, w, grid.vertex_index((0, 0)))
+        for ti in range(grid.vertex_count):
+            t = grid.vertex_coords(ti)
+            assert fpp.passage_time(field, (0, 0), t).distance.hex() == full[ti].hex()
+            shapes, pairs = grid._sub_memo
+            assert len(pairs) <= 5 or limit == "boxes"
+            assert sum(g.edge_count for g in shapes.values()) <= 2 * grid.edge_count or (
+                limit == "pairs")
+            assert len(shapes) <= len(pairs)
 
 
 class TestBoxBias:
