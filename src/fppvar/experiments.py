@@ -40,9 +40,11 @@ capped label at the target is the full solve's, bit for bit (fact 1 in the
 the limit of the source: in d=2 about a fifth of the box at n=8, half at
 n=16 and three quarters at n >= 32; in d=3 a few percent.
 
-A row takes the pruned path when ``_init_worker`` finds a valid table and
-the quantile time per field exceeds BREAK_EVEN solve times, both timed
-there; which path runs never changes a byte of the output.
+A process sets a row up (``_init_worker``) on the first chunk of 64
+replicates it runs (``_run_chunk``), alone or in a pool, so a set-up error
+is that chunk's error.  The row takes the pruned path when the set-up finds
+a valid table and the quantile time per field exceeds BREAK_EVEN solve
+times, both timed there; which path runs never changes a byte of the output.
 """
 
 from __future__ import annotations
@@ -119,8 +121,8 @@ TABLE_SIZE = 4096
 # pruned path where it runs slower.
 BREAK_EVEN = 1.5
 
-# Per-process context for replicate evaluation; set by the pool initializer
-# (inherited state must not leak between configurations, hence keyed setup).
+# Per-process context of the row being run: emptied before a row's first
+# chunk, and filled by ``_init_worker`` in each process that runs a chunk.
 _CTX: dict = {}
 
 
@@ -152,14 +154,9 @@ def _lower_table(dist: EdgeDistribution) -> tuple[np.ndarray | None, float]:
 
 
 def _init_worker(dist: EdgeDistribution, d: int, n: int, seed: int) -> None:
+    """Set up the row in this process; ``_CTX`` is filled only on success."""
     grid = box_for_target(d, n)
     src = grid.vertex_index((0,) * d)
-    dst = grid.vertex_index((n,) + (0,) * (d - 1))
-    _CTX.update(dist=dist, grid=grid, n=n, seed=seed, src_index=src, dst=dst, tab=None)
-    # Fill the grid caches every replicate reads here, not in the first one.
-    grid.edge_count
-    grid._csr_template
-    grid._csr_matrix
     tab, draw_s = _lower_table(dist)
     if tab is not None:
         # Time the box on a field drawn from the table; fastest of three solves.
@@ -169,11 +166,10 @@ def _init_worker(dist: EdgeDistribution, d: int, n: int, seed: int) -> None:
             start = time.perf_counter()
             fpp._solve(grid, probe, src)
             solve_s = min(solve_s, time.perf_counter() - start)
-        if _pruned_pays(draw_s, solve_s, grid.edge_count):
-            _CTX["tab"] = tab
-            return
-    # The strip that caps each plain solve, memoised on the grid.
-    fpp._sub_box(grid, src, dst)
+        if not _pruned_pays(draw_s, solve_s, grid.edge_count):
+            tab = None
+    _CTX.update(dist=dist, grid=grid, n=n, seed=seed, src_index=src, tab=tab,
+                dst=grid.vertex_index((n,) + (0,) * (d - 1)))
 
 
 def _exact(dist: EdgeDistribution, u: np.ndarray, lower: np.ndarray,
@@ -216,33 +212,24 @@ def _replicate_value(r: int) -> float:
     return _pruned_value(ss) if _CTX["tab"] is not None else _plain_value(ss)
 
 
-def _init_pool_worker(*args) -> None:
-    """Pool initializer: keeps the exception of ``_init_worker`` for
-    ``_run_chunk`` to raise, since ``mp.Pool`` replaces a worker whose
-    initializer raises, for good, and its ``map`` never returns."""
-    _CTX["error"] = None
-    try:
-        _init_worker(*args)
-    except Exception as exc:
-        _CTX["error"] = exc
-
-
-def _run_chunk(indices) -> list[float]:
-    if _CTX.get("error") is not None:
-        raise _CTX["error"]
+def _run_chunk(task) -> list[float]:
+    """Replicate values of one chunk, ``task`` = ((dist, d, n, seed),
+    indices); a process's first chunk of a row sets the row up."""
+    row, indices = task
+    if not _CTX:
+        _init_worker(*row)
     return [_replicate_value(r) for r in indices]
 
 
 def _replicate_values(dist: EdgeDistribution, d: int, n: int, samples: int,
                       seed: int, workers: int) -> np.ndarray:
-    chunks = [range(a, min(a + 64, samples)) for a in range(0, samples, 64)]
+    tasks = [((dist, d, n, seed), range(a, min(a + 64, samples))) for a in range(0, samples, 64)]
+    _CTX.clear()
     if workers <= 1:
-        _init_worker(dist, d, n, seed)
-        parts = [_run_chunk(c) for c in chunks]
+        parts = list(map(_run_chunk, tasks))
     else:
-        with mp.Pool(workers, initializer=_init_pool_worker,
-                     initargs=(dist, d, n, seed)) as pool:
-            parts = pool.map(_run_chunk, chunks)
+        with mp.Pool(min(workers, len(tasks))) as pool:
+            parts = pool.map(_run_chunk, tasks)
     return np.concatenate([np.asarray(p) for p in parts])
 
 

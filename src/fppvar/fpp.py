@@ -314,9 +314,10 @@ def _sub_box(grid: GridSpec, s: int, t: int) -> tuple[GridSpec, tuple, int, int]
     of s and t.  The sub-box spans s and t, widened by SUB_PAD on every axis
     but the first along which they lie farthest apart, and clipped to the
     box; for 0 and n*e1 it is the strip [0, n] x [-SUB_PAD, SUB_PAD]^(d-1).
-    One sub-grid serves every sub-box of a shape.  Sub-grid edge order is
-    the box's restricted to the sub-box, so each axis's sub-box edges are one
-    basic slice of that axis's edge block."""
+    One sub-grid serves every sub-box of a shape, and the grid itself a
+    sub-box that is the whole box.  Sub-grid edge order is the box's
+    restricted to the sub-box, so each axis's sub-box edges are one basic
+    slice of that axis's edge block."""
     shapes, pairs = grid._sub_memo
     hit = pairs.get((s, t))
     if hit is not None:
@@ -334,7 +335,7 @@ def _sub_box(grid: GridSpec, s: int, t: int) -> tuple[GridSpec, tuple, int, int]
             or sum(g.edge_count for g in shapes.values()) > _MEMO_BOXES * grid.edge_count):
         shapes.clear()
         pairs.clear()
-    sub = shapes.get(extents)
+    sub = grid if extents == grid.extents else shapes.get(extents)
     if sub is None:
         sub = shapes[extents] = GridSpec(lo=(0,) * grid.d, hi=tuple(e - 1 for e in extents))
         sub._csr_matrix  # filled here, not in the first solve
@@ -358,10 +359,13 @@ def _bounded_solve(grid: GridSpec, weights: np.ndarray, s: int, t: int, **option
     the box under ``weights`` with ``limit`` the label X at t of the sub-box
     (:func:`_sub_box`), plus fact 3's tie margin; X = 0 when s == t.  Its
     label at t is the full solve's, bit for bit (module docstring, fact 1).
-    ``options`` pass through to :func:`_solve`."""
+    When the sub-box is the whole box, its one solve is the full solve,
+    without a limit.  ``options`` pass through to :func:`_solve`."""
     cap = 0.0
     if s != t:
         sub, picks, a, b = _sub_box(grid, s, t)
+        if sub is grid:
+            return _solve(grid, weights, s, **options)
         cap = _solve(sub, _sub_weights(weights, picks), a)[b]
     return _solve(grid, weights, s, limit=cap + 2.0 * TIE_TOL * max(1.0, cap), **options)
 
@@ -399,9 +403,9 @@ def _passage(field: WeightField, u: Sequence[int],
              v: Sequence[int]) -> tuple[PassageResult, np.ndarray, np.ndarray]:
     """The passage result from u to v, the labels from u and the geodesic's
     vertices from u.  The labels are capped (:func:`_bounded_solve`) and
-    ``inf`` past the cap.  Dijkstra sets a label to its tree parent's plus
-    the edge weight, so the label at v must be the left fold of the path's
-    weights."""
+    ``inf`` past the cap, unless the query's sub-box is the whole box.
+    Dijkstra sets a label to its tree parent's plus the edge weight, so the
+    label at v must be the left fold of the path's weights."""
     grid = field.grid
     ui, vi = grid.vertex_index(u), grid.vertex_index(v)
     ds, pred = _bounded_solve(grid, field.weights, ui, vi, return_predecessors=True)

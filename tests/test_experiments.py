@@ -88,6 +88,26 @@ class TestEstimateVariance:
         assert est.se_var == pytest.approx(est.var * math.sqrt(2.0 / 299.0))
         assert est.jackknife_ok
 
+    def test_row_set_up_once_per_call(self, monkeypatch):
+        # A serial row is set up once, not once per chunk of 64, and no
+        # context carries over: two identical calls set their rows up twice.
+        timings = []
+        pays = ex._pruned_pays
+        monkeypatch.setattr(ex, "_pruned_pays", lambda *t: timings.append(t) or pays(*t))
+        rows = [ex.estimate_variance(DIST, 2, 8, 200, seed=5) for _ in range(2)]
+        assert len(timings) == 2 and rows[0] == rows[1]
+
+    def test_pool_size(self, monkeypatch):
+        # A pool gets no more processes than the row has chunks of 64.
+        sizes = []
+        pool = ex.mp.Pool
+        monkeypatch.setattr(ex, "mp", SimpleNamespace(
+            Pool=lambda processes: sizes.append(processes) or pool(processes)))
+        got = [ex._replicate_values(DIST, 2, 4, samples, 1, workers)
+               for samples, workers in ((100, 8), (300, 2), (200, 3))]
+        assert sizes == [2, 2, 3]
+        assert np.array_equal(got[0], ex._replicate_values(DIST, 2, 4, 100, 1, 1))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ex.estimate_variance(DIST, 2, 8, 50, seed=0)
@@ -186,22 +206,35 @@ class TestPoolInitializerFailure:
     def test_raises_like_one_worker(self):
         # mp.Pool replaces a worker whose initializer raises, for good, so a
         # pool sweep once hung here.  The child process has a deadline, which
-        # turns a hang into a failure instead of a stuck suite.
+        # turns a hang into a failure instead of a stuck suite.  A row set-up
+        # that fails, in a one-row call and at the second row of a sweep.
         code = textwrap.dedent("""
             import multiprocessing as mp
             from fppvar import experiments as ex
             from fppvar.edge_distributions import exponential
 
-            def fail(dist):
+            def no_table(dist):
                 raise ValueError("no quantile table")
 
+            def no_box_at_16(d, n, box=ex.box_for_target):
+                if n == 16:
+                    raise ValueError("no box at n=16")
+                return box(d, n)
+
             mp.set_start_method("fork")
-            ex._lower_table = fail
-            for workers in (1, 2):
-                try:
-                    ex.estimate_variance(exponential(), 2, 8, 200, 1, workers=workers)
-                except ValueError as exc:
-                    print(workers, repr(exc))
+            runs = [("_lower_table", no_table,
+                     lambda w: ex.estimate_variance(exponential(), 2, 8, 200, 1, workers=w)),
+                    ("box_for_target", no_box_at_16,
+                     lambda w: ex.sweep(exponential(), 2, [8, 16], 200, 1, workers=w))]
+            for name, fail, run in runs:
+                saved = getattr(ex, name)
+                setattr(ex, name, fail)
+                for workers in (1, 2):
+                    try:
+                        run(workers)
+                    except ValueError as exc:
+                        print(workers, repr(exc))
+                setattr(ex, name, saved)
         """)
         src = str(pathlib.Path(ex.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -213,9 +246,10 @@ class TestPoolInitializerFailure:
         except subprocess.TimeoutExpired:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.communicate()
-            pytest.fail("a failing pool initializer hung the sweep")
+            pytest.fail("a failing row set-up hung the sweep")
         assert proc.returncode == 0, err
-        assert out.splitlines() == [f"{w} ValueError('no quantile table')" for w in (1, 2)]
+        assert out.splitlines() == [f"{w} ValueError('{msg}')" for msg in (
+            "no quantile table", "no box at n=16") for w in (1, 2)]
 
 
 @pytest.fixture
@@ -293,8 +327,9 @@ class TestPlainReplicate:
 
     @pytest.mark.parametrize("d, n", [(2, 2), (2, 8), (3, 4)])
     def test_strip_edges_are_the_box_edges(self, force_plain, d, n):
-        # A plain row's set-up leaves the strip in the box's query memo.
+        # A plain row's first replicate leaves the strip in the box's query memo.
         ex._init_worker(DIST, d, n, 0)
+        ex._replicate_value(0)
         strip, edges = _strip_edges(_box(d, n), n)
         grid = ex._CTX["grid"]
         shapes, pairs = grid._sub_memo

@@ -111,6 +111,22 @@ def derivative_verdict(field, v, e):
         return "tie"
 
 
+def tie_rule(grid: fpp.GridSpec, w: np.ndarray, ds: np.ndarray, path, t: float, e: int):
+    """The documented tie rule (module docstring, fact 3) on labels ds from
+    the origin, for the geodesic ``path`` of passage time t: "tie" when an
+    edge off the path enters one of its vertices b from a with
+    (ds[a] + w) - ds[b] <= tol, else whether e lies on the path."""
+    tol = fpp.TIE_TOL * max(1.0, t)
+    on = {grid.vertex_index((0,) * grid.d)}
+    for k in path:
+        on |= {int(grid.edge_tails[k]), int(grid.edge_heads[k])}
+    for k, (a0, b0) in enumerate(zip(grid.edge_tails.tolist(), grid.edge_heads.tolist())):
+        if k not in path and any(b in on and (ds[a] + w[k]) - ds[b] <= tol
+                                 for a, b in ((a0, b0), (b0, a0))):
+            return "tie"
+    return int(e in path)
+
+
 def exact_labels(grid: fpp.GridSpec, weights: np.ndarray, src: int) -> list[Fraction]:
     """Exact distances from vertex index src: Dijkstra over Fractions, which
     hold every double weight exactly."""
@@ -550,16 +566,7 @@ class TestEdgeDerivative:
             g, w = field.grid, field.weights
             res = fpp.passage_time(field, (0, 0), v)
             ds = oracle_labels(g, w, g.vertex_index((0, 0)))
-            tol = fpp.TIE_TOL * max(1.0, res.distance)
-            on = {g.vertex_index((0, 0))}
-            for k in res.geodesic_edges:
-                on |= {int(g.edge_tails[k]), int(g.edge_heads[k])}
-            tie = False
-            for k, (t, h) in enumerate(zip(g.edge_tails.tolist(), g.edge_heads.tolist())):
-                if k not in res.geodesic_edges:
-                    tie |= any(b in on and (ds[a] + w[k]) - ds[b] <= tol
-                               for a, b in ((t, h), (h, t)))
-            want = "tie" if tie else int(e in res.geodesic_edges)
+            want = tie_rule(g, w, ds, res.geodesic_edges, res.distance, e)
             assert derivative_verdict(field, v, e) == want, case
             verdicts[want] += 1
         assert min(verdicts[k] for k in (0, 1, "tie")) >= 10, verdicts
@@ -936,6 +943,37 @@ class TestBoundedQuery:
                 seen["same"] += s == t
                 seen["adjacent"] += sum(abs(a - b) for a, b in zip(s, t)) == 1
         assert min(seen[k] for k in ("at the box edge", "same", "adjacent")) >= 20, seen
+
+    @pytest.mark.parametrize("grid", [fpp.GridSpec(lo=(0, 0), hi=(9, 6)),
+                                      fpp.GridSpec(lo=(0, 0, 0), hi=(5, 3, 4))],
+                             ids=["d2", "d3"])
+    def test_whole_box_query_is_one_full_solve(self, monkeypatch, grid):
+        # From the origin to the far corner the sub-box is the whole box:
+        # one unlimited solve, whose labels, predecessors, geodesic and tie
+        # verdicts are the full solve's.
+        rng = np.random.default_rng(grid.d)
+        si, ti = grid.vertex_index(grid.lo), grid.vertex_index(grid.hi)
+        calls = counting_solves(monkeypatch)
+        seen = collections.Counter()
+        for case in range(40):
+            w = tie_heavy(rng, grid.edge_count) if case % 4 == 3 else (
+                sample(exponential(), case, grid.edge_count))
+            field = fpp.WeightField(grid=grid, weights=w)
+            full, pred = oracle_tree(grid, w, si)
+            path = tree_edges(grid, pred, si, ti)
+            labels, got_pred = fpp._bounded_solve(grid, w, si, ti, return_predecessors=True)
+            assert labels.tobytes() == full.tobytes() and np.array_equal(got_pred, pred)
+            calls.clear()
+            res = fpp.passage_time(field, grid.lo, grid.hi)
+            assert calls == [(grid, {"return_predecessors": True})]
+            assert res.distance.hex() == full[ti].hex() and res.geodesic_edges == path
+            e = path[case % len(path)] if case % 2 else int(rng.integers(grid.edge_count))
+            want = tie_rule(grid, w, full, path, full[ti], e)
+            calls.clear()
+            assert derivative_verdict(field, grid.hi, e) == want, case
+            assert calls == [(grid, {"return_predecessors": True})]
+            seen[want] += 1
+        assert min(seen[k] for k in (0, 1, "tie")) >= 5, seen
 
     def test_geodesic_leaving_the_sub_box(self):
         # Sub-box edges cost 10 more than the field around them, so the
