@@ -49,6 +49,22 @@ class TestPsiCommand:
         code, _, err = run(capsys, "psi", "--dist", "cauchy", "--y", "1")
         assert code == 2
 
+    # Outputs at y = 0.1, 0.5, 0.9, recorded with each law built as a
+    # scipy.stats frozen object.
+    @pytest.mark.parametrize("spec, want", [
+        ("exp:rate=1", ("0.18702968647314008", "0.6341521682808858", "0.9542058770142695")),
+        ("gamma:shape=2", ("0.15062212349132093", "0.5363752850771845", "0.8247973978606998")),
+        ("beta:a=2,b=3", ("0.10997270042787098", "0.23601620021258474", "0.10229213853778382")),
+        ("uniform", ("0.1754983319324868", "0.3989422804014327", "0.17549833193248673")),
+        ("chi2", ("0.21257971696744069", "0.7627552294226163", "1.1761098475042033")),
+        ("halfnormal", ("0.18664954556010516", "0.5419985625682601", "0.7083078664269183")),
+        ("beta:a=0.5,b=0.5", ("0.2676521630581101", "0.6266570686577502", "0.26765216305810996")),
+        ("gamma:shape=0.7,rate=3.3",
+         ("0.15498735805293562", "0.45572260062964903", "0.6500317749251385"))])
+    def test_golden_outputs(self, capsys, spec, want):
+        for y, text in zip(("0.1", "0.5", "0.9"), want):
+            assert run(capsys, "psi", "--dist", spec, "--y", y)[:2] == (0, text + "\n"), y
+
 
 class TestCheckNearGamma:
     def test_report_schema(self, capsys):
@@ -77,6 +93,23 @@ class TestCheckNearGamma:
         code, out, _ = run(capsys, "check-neargamma", "--dist", spec)
         rep = json.loads(out)
         assert (code, rep["verdict"], rep["direct_pass"]) == (0, verdict, True)
+
+    # SHA-256 of the report at the default grid, recorded with each law built
+    # as a scipy.stats frozen object.
+    @pytest.mark.parametrize("spec, digest", [
+        ("exp:rate=1", "23696ea1866af3fbec54186a6569cd120b161f6fc405b55150f768b7862be221"),
+        ("gamma:shape=2", "74c22b85b6c5b7dd222cfcd80b12bfec2f76ab1b9967ecd505619ad4d11b16fe"),
+        ("beta:a=2,b=3", "8c1f13180b74aad1576a14f03e6dcb32e512a5813fac08020d50bb04434ca2ed"),
+        ("uniform", "fa4537c00cf45a602a5a365270f90450db496c401e07abe6d2fc2d475f83f50f"),
+        ("chi2", "26ce72c0786695c33739d1c43ee9bf2a73d299e0e1f51e0ae6764e9b9698944c"),
+        ("halfnormal", "70471f667347d40872b08b4b3b1baa022925100b5f338ec42bc814e255e2834d"),
+        ("beta:a=0.5,b=0.5", "4817e9f4b298fba662d73f1ddec5be1abaf179943fce911fbed8285510fc036e"),
+        ("gamma:shape=0.7,rate=3.3",
+         "1778e4e02c869c78e53f02748d992db87b2a10449cb5ef4a5a46dd65f334960f")])
+    def test_report_golden(self, capsys, spec, digest):
+        code, out, _ = run(capsys, "check-neargamma", "--dist", spec)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_halfnormal_direct_only(self, capsys):
         code, out, _ = run(capsys, "check-neargamma", "--dist", "halfnormal",

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -7,7 +8,9 @@ from scipy.integrate import quad
 
 from fppvar import gaussian as G
 from fppvar import poincare as P
-from fppvar.edge_distributions import _uniforms, beta_family, exponential, uniform_family
+from fppvar.cli import _json
+from fppvar.edge_distributions import (_uniforms, beta_family, exponential,
+                                       parse_distribution, uniform_family)
 from fppvar.phi import phi
 
 RULE = G.hermite_rule(64)
@@ -297,6 +300,19 @@ class TestChangeOfVariables:
         assert np.any(dist._quantile(_uniforms(5002, 20_000)) == 1.0)
         rep = P.verify_change_of_variables(np.sin, np.cos, dist, 20_000, 5002)
         assert rep.passed
+
+    # SHA-256 of the report JSON, recorded with each law built as a
+    # scipy.stats frozen object.
+    @pytest.mark.parametrize("spec, digest", [
+        ("exp", "18ddb87cfa8c1223823be9f396fa55262dd06175bb5689835670d4a9b3f265a4"),
+        ("gamma", "d1c139f9d450d9eab644c0c405ce7185a84312d726b8a55388893cbe43443e7d"),
+        ("beta", "802f31c89b20cf89563587fbbca4878b21c9d3dbddee97ac85b6860b9a0e9c40"),
+        ("uniform", "0743f04bbe70393343b06b53cdf3ea7e04c41277dd1dcafa0e5a516666bb276b"),
+        ("chi2", "11332358727851e0d2955b875c99f9da1b04a366eb114f490fbbed65309af952"),
+        ("halfnormal", "c199b2d6f00d7cf365dc0fe9c948f3fedcc73d94b9dc1e5db2cad0a6bb01edf4")])
+    def test_report_golden(self, spec, digest):
+        rep = P.verify_change_of_variables(np.sin, np.cos, parse_distribution(spec), 5000, 2)
+        assert hashlib.sha256(_json(rep).encode()).hexdigest() == digest
 
 
 class TestOneReportBuilder:
