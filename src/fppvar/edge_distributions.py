@@ -20,10 +20,13 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from functools import partial
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
+# The beta density kernel of scipy's own beta law, checked on scipy 1.17.1.
+from scipy.special._ufuncs import _beta_pdf
 
 from . import gaussian
 
@@ -34,6 +37,39 @@ BAND = 5.0
 DRIFT = 0.8
 
 
+class _Standard(NamedTuple):
+    """A family's law at loc 0 and scale 1, on the support [0, end]: closed
+    forms of its quantile, density, log-density, cdf, sf and log-sf, each
+    taking an array inside the support, and its variance.  Each form is the
+    expression scipy 1.17.1's continuous distributions evaluate for the
+    family, so the values have the same bits as theirs."""
+    end: float
+    var: float
+    ppf: Callable
+    pdf: Callable
+    logpdf: Callable
+    cdf: Callable
+    sf: Callable
+    logsf: Callable
+
+
+def _law(end, var, ppf, pdf, logpdf, cdf, sf, logsf=None) -> _Standard:
+    """The standard law; without ``logsf``, scipy's generic one: log(sf)
+    above the median and log1p(-cdf) at and below it, where each keeps its
+    digits."""
+    if logsf is None:
+        median = ppf(0.5)
+
+        def logsf(x):
+            above = x > median
+            out = np.empty_like(x)
+            with np.errstate(divide="ignore"):
+                out[above] = np.log(sf(x[above]))
+                out[~above] = np.log1p(-cdf(x[~above]))
+            return out
+    return _Standard(end, var, ppf, pdf, logpdf, cdf, sf, logsf)
+
+
 @dataclass(frozen=True)
 class EdgeDistribution:
     """A continuous edge-time law with density, cdf, quantile and sampler.
@@ -42,46 +78,62 @@ class EdgeDistribution:
     near the lower endpoint; ``right_exponent`` is the mirrored beta at the
     upper endpoint, and None exactly when the support is unbounded.
 
-    The quantile calls the family's own ``_ppf`` with the frozen law's
-    parsed shapes, scale and loc, as ``dist.ppf`` does, without that
-    method's generic argument broadcasting, which costs more than the
-    kernel on the arrays a sweep replicate draws.
+    The law is ``law``, a standard law in closed form, moved to ``lo`` and
+    stretched by ``scale``.  Each method maps y to x = (y - lo) / scale and
+    evaluates the closed form where x is inside the standard support (closed
+    for the density, open for the cdf and sf), with the limit values
+    outside and NaN at NaN, as scipy's distributions do.  A law pickles as its
+    name, which :func:`parse_distribution` reads back as the same law.
     """
     name: str
     lo: float
     hi: float
     left_exponent: float
     right_exponent: Optional[float]
-    dist: stats.distributions.rv_frozen = field(repr=False, compare=False)
+    scale: float = field(repr=False, compare=False)
+    law: _Standard = field(repr=False, compare=False)
+
+    def __reduce__(self):
+        return parse_distribution, (self.name,)
+
+    def _on_support(self, y, low: float, high: float, kernel: Callable, closed: bool = False):
+        """kernel at x = (y - lo) / scale inside the standard support, low
+        outside it at or below its lower end, high outside it at or above its
+        upper end, and NaN at NaN."""
+        x = (np.asarray(y, dtype=float) - self.lo) / self.scale
+        out = np.where(x <= 0.0, low, high)
+        out[np.isnan(x)] = math.nan
+        keep = (x >= 0.0) & (x <= self.law.end) if closed else (x > 0.0) & (x < self.law.end)
+        out[keep] = kernel(x[keep])
+        return out[()]
 
     def pdf(self, y):
-        return self.dist.pdf(y)
+        return self._on_support(y, 0.0, 0.0, lambda x: self.law.pdf(x) / self.scale, True)
 
     def logpdf(self, y):
-        return self.dist.logpdf(y)
+        return self._on_support(y, -math.inf, -math.inf,
+                                lambda x: self.law.logpdf(x) - np.log(self.scale), True)
 
     def cdf(self, y):
-        return self.dist.cdf(y)
+        return self._on_support(y, 0.0, 1.0, self.law.cdf)
 
     def sf(self, y):
-        return self.dist.sf(y)
+        return self._on_support(y, 1.0, 0.0, self.law.sf)
 
     def logsf(self, y):
-        return self.dist.logsf(y)
+        return self._on_support(y, 0.0, -math.inf, self.law.logsf)
 
     def _quantile(self, p: np.ndarray) -> np.ndarray:
         """The quantile at p in [0, 1], unchecked."""
-        law = self.dist.dist
-        shapes, loc, scale = law._parse_args(*self.dist.args, **self.dist.kwds)
-        return law._ppf(p, *shapes) * scale + loc
+        return self.law.ppf(p) * self.scale + self.lo
 
     def ppf(self, p):
-        """The quantile function; NaN outside [0, 1], as ``dist.ppf``."""
+        """The quantile function; NaN outside [0, 1], as scipy's ``ppf``."""
         p = np.asarray(p, dtype=float)
         return self._quantile(np.where((p >= 0.0) & (p <= 1.0), p, np.nan))[()]
 
     def std(self) -> float:
-        return float(self.dist.std())
+        return math.sqrt(self.law.var * self.scale * self.scale)
 
 
 def _num(x: float) -> str:
@@ -103,25 +155,68 @@ def _positive(**params: float) -> None:
         raise ValueError(f"{' and '.join(params)} must be positive and finite")
 
 
+_EXP = _law(math.inf, 1.0, lambda q: -special.log1p(-q), lambda x: np.exp(-x), np.negative,
+            lambda x: -special.expm1(-x), lambda x: np.exp(-x), np.negative)
+_UNIFORM = _law(1.0, 1.0 / 12, lambda q: q, np.ones_like, np.zeros_like, lambda x: x,
+                lambda x: 1.0 - x)
+
+
+def _gamma(a: float) -> _Standard:
+    def logpdf(x):
+        return special.xlogy(a - 1.0, x) - x - special.gammaln(a)
+    return _law(math.inf, a, partial(special.gammaincinv, a), lambda x: np.exp(logpdf(x)),
+                logpdf, partial(special.gammainc, a), partial(special.gammaincc, a))
+
+
+def _beta(a: float, b: float) -> _Standard:
+    def pdf(x):
+        with np.errstate(over="ignore"):
+            return _beta_pdf(x, a, b)
+    s = a + b
+    return _law(1.0, a * b / (s * s * (s + 1)), partial(special.betaincinv, a, b), pdf,
+                lambda x: special.xlog1py(b - 1.0, -x) + special.xlogy(a - 1.0, x)
+                - special.betaln(a, b),
+                partial(special.betainc, a, b), partial(special.betaincc, a, b))
+
+
+def _half_normal_ppf(p):
+    """The half-normal quantile, accurate in both tails.
+
+    scipy's ndtri((1 + p) / 2) rounds 1 + p, so its relative error grows
+    like 1e-16 / p as p falls to 0 and like 1e-16 / (1 - p) as p rises to 1.
+    sqrt(2) erfinv(p) keeps full accuracy for p <= 1/2, and above 1/2 the
+    difference 1 - p is exact, so -ndtri((1 - p) / 2) does too."""
+    # Both branches run on every level; clamping keeps the unused one in its
+    # cheap range.
+    return np.where(p <= 0.5, math.sqrt(2.0) * special.erfinv(np.minimum(p, 0.5)),
+                    -special.ndtri((1.0 - np.maximum(p, 0.5)) / 2.0))
+
+
+_HALF_NORMAL = _law(math.inf, 1 - 2.0 / np.pi, _half_normal_ppf,
+                    lambda x: np.sqrt(2.0 / np.pi) * np.exp(-x * x / 2.0),
+                    lambda x: 0.5 * np.log(2.0 / np.pi) - x * x / 2.0,
+                    lambda x: special.erf(x / np.sqrt(2)), lambda x: 2 * special.ndtr(-x))
+
+
 def exponential(rate: float = 1.0) -> EdgeDistribution:
     _positive(rate=rate)
     return EdgeDistribution(_name("exp", rate=rate), lo=0.0, hi=math.inf,
                             left_exponent=0.0, right_exponent=None,
-                            dist=stats.expon(scale=1.0 / rate))
+                            scale=1.0 / rate, law=_EXP)
 
 
 def gamma_family(shape: float = 2.0, rate: float = 1.0) -> EdgeDistribution:
     _positive(shape=shape, rate=rate)
     return EdgeDistribution(_name("gamma", shape=shape, rate=rate), lo=0.0, hi=math.inf,
                             left_exponent=shape - 1.0, right_exponent=None,
-                            dist=stats.gamma(a=shape, scale=1.0 / rate))
+                            scale=1.0 / rate, law=_gamma(shape))
 
 
 def beta_family(a: float = 2.0, b: float = 3.0) -> EdgeDistribution:
     _positive(a=a, b=b)
     return EdgeDistribution(_name("beta", a=a, b=b), lo=0.0, hi=1.0,
                             left_exponent=a - 1.0, right_exponent=b - 1.0,
-                            dist=stats.beta(a, b))
+                            scale=1.0, law=_beta(a, b))
 
 
 def uniform_family(lo: float = 0.0, hi: float = 1.0) -> EdgeDistribution:
@@ -129,7 +224,7 @@ def uniform_family(lo: float = 0.0, hi: float = 1.0) -> EdgeDistribution:
         raise ValueError("uniform support needs 0 <= lo < hi < inf")
     return EdgeDistribution(_name("uniform", lo=lo, hi=hi), lo=lo, hi=hi,
                             left_exponent=0.0, right_exponent=0.0,
-                            dist=stats.uniform(loc=lo, scale=hi - lo))
+                            scale=hi - lo, law=_UNIFORM)
 
 
 def chi2_family(k: float = 2.0, alpha: float = 0.5) -> EdgeDistribution:
@@ -137,30 +232,13 @@ def chi2_family(k: float = 2.0, alpha: float = 0.5) -> EdgeDistribution:
     _positive(k=k, alpha=alpha)
     return EdgeDistribution(_name("chi2", k=k, alpha=alpha), lo=0.0, hi=math.inf,
                             left_exponent=k / 2.0 - 1.0, right_exponent=None,
-                            dist=stats.gamma(a=k / 2.0, scale=1.0 / alpha))
-
-
-class _HalfNormal(type(stats.halfnorm)):
-    """scipy's half-normal law with a quantile accurate in both tails.
-
-    scipy's ndtri((1 + p) / 2) rounds 1 + p, so its relative error grows
-    like 1e-16 / p as p falls to 0 and like 1e-16 / (1 - p) as p rises to 1.
-    sqrt(2) erfinv(p) keeps full accuracy for p <= 1/2, and above 1/2 the
-    difference 1 - p is exact, so -ndtri((1 - p) / 2) does too."""
-
-    def _ppf(self, p):
-        # Both branches run on every level; clamping keeps the unused one in
-        # its cheap range.
-        return np.where(p <= 0.5, math.sqrt(2.0) * special.erfinv(np.minimum(p, 0.5)),
-                        -special.ndtri((1.0 - np.maximum(p, 0.5)) / 2.0))
-
-
-_HALF_NORMAL = _HalfNormal(a=0.0, name="halfnorm")
+                            scale=1.0 / alpha, law=_gamma(k / 2.0))
 
 
 def half_normal() -> EdgeDistribution:
     return EdgeDistribution(_name("halfnormal"), lo=0.0, hi=math.inf,
-                            left_exponent=0.0, right_exponent=None, dist=_HALF_NORMAL())
+                            left_exponent=0.0, right_exponent=None,
+                            scale=1.0, law=_HALF_NORMAL)
 
 
 # Each constructor is its family's spec: its parameters are the keys a spec

@@ -38,6 +38,17 @@ class TestPhiCommand:
         assert proc.stderr == ""
         assert float(proc.stdout) == pytest.approx(0.6276535611757065, rel=1e-12)
 
+    def test_import_leaves_scipy_stats_out(self):
+        # The edge laws are scipy.special closed forms; importing scipy.stats
+        # would cost most of a run's start-up.
+        src = str(pathlib.Path(fppvar.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", "import sys, fppvar, fppvar.cli; "
+                               "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
 
 class TestPsiCommand:
     def test_uniform(self, capsys):

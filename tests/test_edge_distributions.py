@@ -1,13 +1,14 @@
 import functools
 import math
 import pickle
+import warnings
 
 import mpmath as M
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import kstest
+from scipy import stats
 
 from fppvar import edge_distributions as ed
 
@@ -32,7 +33,7 @@ class TestFamilies:
     @pytest.mark.parametrize("dist", FAMILIES, ids=lambda d: d.name)
     def test_sampler_ks(self, dist):
         s = ed.sample(dist, 2024, 10_000)
-        assert kstest(s, dist.cdf).statistic <= 0.02
+        assert stats.kstest(s, dist.cdf).statistic <= 0.02
 
     def test_equality_by_law(self):
         assert ed.exponential() == ed.exponential()
@@ -103,6 +104,50 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+class _TailHalfNormal(type(stats.halfnorm)):
+    """scipy's half-normal law with the package's two-branch quantile, whose
+    accuracy the mpmath test checks; every other method is scipy's."""
+
+    def _ppf(self, p):
+        return ed._half_normal_ppf(p)
+
+
+# Each family as the scipy.stats frozen law of the constructor's parameters.
+_SCIPY_LAWS = {"exp": lambda rate: stats.expon(scale=1.0 / rate),
+               "gamma": lambda shape, rate: stats.gamma(a=shape, scale=1.0 / rate),
+               "beta": lambda a, b: stats.beta(a, b),
+               "uniform": lambda lo, hi: stats.uniform(loc=lo, scale=hi - lo),
+               "chi2": lambda k, alpha: stats.gamma(a=k / 2.0, scale=1.0 / alpha),
+               "halfnormal": lambda: _TailHalfNormal(a=0.0, name="halfnorm")()}
+
+
+def frozen(dist):
+    """The independent oracle: scipy.stats' frozen law with the parameters
+    that the law's name spells, which read back as the constructor's."""
+    family, _, args = dist.name.partition(":")
+    params = dict(pair.split("=") for pair in args.split(",")) if args else {}
+    return _SCIPY_LAWS[family](**{key: float(val) for key, val in params.items()})
+
+
+def agrees(ours, oracle, *args) -> None:
+    """ours(*args) has the bits of oracle(*args), and warns or raises exactly
+    where the oracle does (scipy's own kernels overflow for some extreme
+    shapes inside the support)."""
+    with warnings.catch_warnings(record=True) as want_warned:
+        warnings.simplefilter("always")
+        try:
+            want = oracle(*args)
+        except ArithmeticError as err:
+            with pytest.raises(type(err)):
+                ours(*args)
+            return
+    with warnings.catch_warnings(record=True) as got_warned:
+        warnings.simplefilter("always")
+        got = ours(*args)
+    assert [w.category for w in got_warned] == [w.category for w in want_warned]
+    assert same_bits(got, want), (got, want)
+
+
 # Quantile levels at which two laws must agree bit for bit.
 LEVELS = np.concatenate([[0.0, 2.220446049250313e-16, 0.5, 1.0 - 2.0 ** -53, 1.0],
                          np.random.default_rng(0).random(64)])
@@ -141,8 +186,8 @@ def half_normal_rel_error(p: float, y: float) -> float:
 
 class TestQuantileKernels:
     """The direct quantile against scipy's ``rv_frozen.ppf`` as the oracle.
-    halfnormal's frozen ppf runs the package's own kernel, so there it only
-    checks the wiring, and mpmath is the oracle."""
+    halfnormal's oracle runs the package's own quantile kernel, so there it
+    only checks the wiring, and mpmath is the oracle."""
 
     def test_half_normal_against_mpmath(self):
         # Tail levels, and every 20th draw of three seeds.  Measured: at most
@@ -166,36 +211,42 @@ class TestQuantileKernels:
         for seed in (0, 1, 2024):
             u = np.random.default_rng(seed).random(20_000)
             np.clip(u, 2.0 ** -52, 1.0 - 2.0 ** -52, out=u)
-            assert same_bits(ed.sample(dist, seed, 20_000), dist.dist.ppf(u))
+            assert same_bits(ed.sample(dist, seed, 20_000), frozen(dist).ppf(u))
 
     @pytest.mark.parametrize("dist", KERNEL_LAWS, ids=lambda d: d.name)
     def test_ppf_matches_frozen_ppf(self, dist):
         ps = np.array([2.220446049250313e-16, 0.5, 1.0 - 2.0 ** -53, 0.0, 1.0])
-        assert same_bits(dist.ppf(ps), dist.dist.ppf(ps))
+        assert same_bits(dist.ppf(ps), frozen(dist).ppf(ps))
         for p in ps:
-            assert same_bits(dist.ppf(p), dist.dist.ppf(p))
+            assert same_bits(dist.ppf(p), frozen(dist).ppf(p))
         assert np.ndim(dist.ppf(0.25)) == 0
 
     @pytest.mark.parametrize("dist", KERNEL_LAWS, ids=lambda d: d.name)
     def test_out_of_range_is_nan(self, dist):
         bad = np.array([-1e-300, -0.5, 1.0 + 2.0 ** -52, 2.0, math.nan, -math.inf, math.inf])
         assert np.all(np.isnan(dist.ppf(bad)))
-        assert np.all(np.isnan(dist.dist.ppf(bad)))
+        assert np.all(np.isnan(frozen(dist).ppf(bad)))
 
     @settings(max_examples=200, deadline=None)
     @given(laws(), st.integers(min_value=0, max_value=2 ** 32 - 1))
     def test_random_laws_match_frozen_ppf(self, dist, seed):
         u = np.random.default_rng(seed).random(64)
         np.clip(u, 2.220446049250313e-16, None, out=u)
-        assert same_bits(ed.sample(dist, seed, 64), dist.dist.ppf(u))
+        assert same_bits(ed.sample(dist, seed, 64), frozen(dist).ppf(u))
         ps = np.concatenate([[0.0, 2.220446049250313e-16, 0.5, 1.0 - 2.0 ** -53, 1.0], u])
-        assert same_bits(dist.ppf(ps), dist.dist.ppf(ps))
+        assert same_bits(dist.ppf(ps), frozen(dist).ppf(ps))
 
     @pytest.mark.parametrize("dist", KERNEL_LAWS, ids=lambda d: d.name)
     def test_pickled_law_samples_identically(self, dist):
         back = pickle.loads(pickle.dumps(dist))
         assert back == dist
         assert same_bits(ed.sample(back, 9, 5_000), ed.sample(dist, 9, 5_000))
+
+    @pytest.mark.parametrize("dist", KERNEL_LAWS, ids=lambda d: d.name)
+    def test_pickle_is_the_name(self, dist):
+        # A law pickles as its spec; the scipy.stats frozen law it replaced
+        # took about 11 KB.
+        assert len(pickle.dumps(dist)) < 256
 
 
 class TestParser:
@@ -295,14 +346,14 @@ def _closed_forms(dist):
     mpmath functions; the parameters are the doubles scipy's law holds."""
     family = dist.name.partition(":")[0]
     if family in ("exp", "gamma", "chi2"):
-        k = M.mpf(dist.dist.kwds.get("a", 1.0))
-        scale = M.mpf(dist.dist.kwds["scale"])
+        k = M.mpf(frozen(dist).kwds.get("a", 1.0))
+        scale = M.mpf(frozen(dist).kwds["scale"])
         return (lambda y: M.gammainc(k, 0, y / scale, regularized=True),
                 lambda y: M.gammainc(k, y / scale, M.inf, regularized=True),
                 lambda y: (y / scale) ** (k - 1) * M.exp(-y / scale) / (M.gamma(k) * scale),
                 lambda y: (k - 1) / y - 1 / scale)
     if family == "beta":
-        a, b = (M.mpf(v) for v in dist.dist.args)
+        a, b = (M.mpf(v) for v in frozen(dist).args)
         return (lambda y: M.betainc(a, b, 0, y, regularized=True),
                 lambda y: M.betainc(a, b, y, 1, regularized=True),
                 lambda y: y ** (a - 1) * (1 - y) ** (b - 1) / M.beta(a, b),
@@ -414,6 +465,49 @@ class TestPsiOracle:
         for p, y in ((0.0, 0.5), (1.0, 0.5), (0.5, 0.0), (0.5, 1.0)):
             with pytest.raises(ValueError):
                 ed._psi_at_level(dist, np.array([p]), np.array([y]))
+
+
+def _tail_grids(dist):
+    """The base and refined grids of ``ed._tail_ratio_ok``."""
+    start = float(dist.ppf(0.9))
+    end = max(40.0 * dist.std(), 2.0 * start)
+    return np.linspace(start, end, 120), np.linspace(start, 2.0 * end, 240)
+
+
+class TestClosedForms:
+    """Each law's closed forms against the scipy.stats frozen law of its
+    parameters, bit for bit, with the same warnings and errors."""
+
+    @staticmethod
+    def check(dist):
+        law = frozen(dist)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            levels = law.ppf(ORACLE_LEVELS)
+        ends = [dist.lo, np.nextafter(dist.lo, -math.inf), dist.lo - 1.0, -math.inf,
+                dist.hi, np.nextafter(dist.hi, math.inf), dist.hi + 1.0, math.inf, math.nan]
+        points = np.concatenate([levels, ends])
+        for method in ("pdf", "logpdf", "cdf", "sf", "logsf"):
+            agrees(getattr(dist, method), getattr(law, method), points)
+            for y in points:
+                agrees(getattr(dist, method), getattr(law, method), y)
+        for grid in _tail_grids(dist):
+            agrees(dist.logsf, law.logsf, grid)
+        assert same_bits(dist.std(), law.std())
+
+    @pytest.mark.parametrize("dist", KERNEL_LAWS, ids=lambda d: d.name)
+    def test_kernel_laws(self, dist):
+        self.check(dist)
+
+    @settings(max_examples=100, deadline=None)
+    @given(laws())
+    def test_random_laws(self, dist):
+        self.check(dist)
+
+    def test_infinite_density_ends(self):
+        dist = ed.beta_family(0.5, 0.5)
+        assert same_bits(dist.pdf([0.0, 1.0]), [math.inf, math.inf])
+        assert same_bits(dist.logpdf([0.0, 1.0]), [math.inf, math.inf])
 
 
 class TestNearGamma:
