@@ -244,8 +244,7 @@ class TestQuantileKernels:
 
     @pytest.mark.parametrize("dist", KERNEL_LAWS, ids=lambda d: d.name)
     def test_pickle_is_the_name(self, dist):
-        # A law pickles as its spec; the scipy.stats frozen law it replaced
-        # took about 11 KB.
+        # A law pickles as its spec, so each sweep pool task stays small.
         assert len(pickle.dumps(dist)) < 256
 
 
