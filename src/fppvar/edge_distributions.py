@@ -279,8 +279,13 @@ def _psi_at_level(dist: EdgeDistribution, p: np.ndarray, y: np.ndarray) -> np.nd
     accurate as the quantile that gave y.  Where y rounded onto an end of the
     support at which the density is infinite, the value is psi's limit
     there, 0.  Callers that need y strictly inside the support check it.
+    A density too large for a float (beta with a < 1 at subnormal y, say)
+    raises ValueError.
     """
-    dens = np.asarray(dist.pdf(y), dtype=float)
+    try:
+        dens = np.asarray(dist.pdf(y), dtype=float)
+    except OverflowError as exc:
+        raise ValueError("the density overflows at y") from exc
     if not np.all(dens > 0.0):
         raise ValueError("the density must be positive at y")
     return gaussian.pdf_at_quantile(p) / dens

@@ -19,8 +19,11 @@ can lie on a near-optimal path.  Such a row draws the same levels u as
    monotonicity alone.
 2. Solve under L from the source with predecessors, take exact weights on
    that tree path, and set T_ub = (1 + fpp.MARGIN) * their sum, so T_ub >= T.
-3. Prune with ``fpp._prune`` against T_ub, which solves under L from the
-   target with ``limit=T_ub``.
+3. Prune with ``fpp._prune`` against T_ub.  Its search from the target
+   runs under L reweighted by the step-2 labels d_s (reduced costs), so it
+   labels only the ellipse d_s + d_t <= T_ub, with d_t the distances from
+   the target under L: 1-3 % of the box, where the ball d_t <= T_ub is
+   half of it at n=16 and 72 % at n=64.
 4. Take exact weights on the kept edges, ``inf`` on the rest, and solve
    once more with ``limit=T_ub``; its label at the target is the value.
 
@@ -115,10 +118,12 @@ class SweepResult:
 TABLE_SIZE = 4096
 # The pruned replicate pays when the quantiles of a field cost more than this
 # many solves of the box.  Measured break-even against the bounded plain
-# replicate: about 1.1 at n=64 and 1.25 at n=16 (BENCH_16.json).  The
-# quantile-to-solve ratio of one law reads up to 0.4 apart from row to row
-# on a busy host, and the margin keeps such a law from flipping to the
-# pruned path where it runs slower.
+# replicate, with the goal-directed target solve of ``fpp._prune``: about
+# 0.65 at n=64 and between 0.8 and 1.2 at n=16 (BENCH_20.json; 0.9-1.3 and
+# 1.2-1.3 before it, BENCH_16.json).  The quantile-to-solve ratio of one law
+# reads up to 0.6 apart from row to row on a busy host, and the margin over
+# the n=16 crossing keeps such a law from flipping to the pruned path where
+# it runs slower.
 BREAK_EVEN = 1.5
 
 # Per-process context of the row being run: emptied before a row's first

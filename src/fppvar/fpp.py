@@ -33,20 +33,49 @@ Two facts carry every bounded solve in the package, and a third the tie check.
    so the geodesic read from it is the full solve's.
 2. *Pruning* (:func:`_prune`).  Let weights lo be each at most the
    weight w of its edge, d_s labels from s under lo (a solve with
-   ``limit=B`` will do), and d_t the labels from t under lo with
-   ``limit=B``, which :func:`_prune` solves itself.  Keep edge (a, b) when
-   min(d_s[a] + d_t[b], d_s[b] + d_t[a]) + lo_e <= B.  Let T be the label
-   at t from s under w.  If B >= (1 + 2 V eps) T, the label at t from s
-   under w on the kept edges alone (``inf`` elsewhere, ``limit=B``) is T,
-   bit for bit.  Why: monotone rounding gives d_s[a] <= the fold of w
-   along the prefix to a of a float-optimal path P*, and likewise for d_t
-   along its reversed suffix.  A fold of V nonnegative terms is within a
-   factor (1 + V eps) of their exact sum (V vertices, eps = 2^-53; sums in
-   the subnormal range are exact), so every edge of P* has a keep sum
-   within (1 + 2 V eps) of T.  P* survives, and the minimum fold over the
-   kept paths is T itself.  MARGIN = 1e-9 dwarfs these ~1e-12, so
-   B = (1 + MARGIN) X will do when X is at least T, or is any float sum of
-   w along a path from s to t.
+   ``limit=B`` will do), T the label at t from s under w, and B >= T.  An
+   edge (a, b) can lie on a path of lo-length at most B only inside the
+   ellipse min(d_s[a] + d_t[b], d_s[b] + d_t[a]) + lo_e <= B, with d_t the
+   distances from t under lo.  If the kept edges include those of a
+   float-optimal path P* from s to t, the label at t from s under w on the
+   kept edges alone (``inf`` elsewhere, ``limit=B``) is T, bit for bit: it
+   is the minimum fold over kept paths, at most T through P* and at least T
+   because kept paths are paths of the box.  B = (1 + MARGIN) X is at least
+   T when X is, or when X is any float sum of w along a path of k edges from
+   s to t: that sum and the path's fold each lie within a factor
+   (1 + k eps) of its exact sum (eps = 2^-53; sums in the subnormal range
+   are exact), and MARGIN = 1e-9 dwarfs 2 k eps, about 1e-13 here.
+   *Goal-directed search.*  :func:`_prune` finds d_t only inside the
+   ellipse, by a search from t under the reduced costs r(x->y) =
+   fl(fl(lo_e + d_s[y]) - d_s[x]) of each arc: Johnson's reweighting by the
+   potential d_s, as in A* and ALT.  Exactly, r sums along a walk from t to
+   v to the walk's lo-length plus d_s[v] - d_s[t], so the search's labels
+   are rho = d_t + d_s - d_s[t], and the ellipse is rho <= B - d_s[t].
+   The search stops at lam = fl(B - d_s[t]) + sigma, sigma = 8 V eps B
+   over V vertices, and keeps edge e when fl(rho[x] + r(x->y)) <= lam for
+   one of its two arcs.  What it labels lies within a few V eps B of the
+   ellipse.
+   *r >= 0 exactly.*  Dijkstra relaxes the arcs from every labelled y to
+   its neighbours x not yet settled (a settled x has d_s[x] <= d_s[y]), so
+   a labelled x has d_s[x] <= fl(d_s[y] + lo_e), or d_s[x] <= limit <
+   fl(d_s[y] + lo_e): capped solves included.  The float difference of two
+   ordered nonnegative numbers is nonnegative.  An arc with an unlabelled
+   end (d_s = inf) costs inf, never NaN.
+   *Every edge of P* is kept* when B >= T and V eps <= 0.01, with no
+   further bound on V.  Let t = p_k, ..., p_0 = s walk P* backwards, k < V,
+   and W be the exact sum of w along P*.  (a) Monotone rounding gives
+   d_s[p_j] <= the fold of w along P* to p_j, which is at most T <= B (so
+   p_j is labelled under a cap of B) and at most 1.02 W.
+   (b) With a = fl(lo_i + d_s[p_(i-1)]), r_i = fl(a - d_s[p_i]) <=
+   lo_i + d_s[p_(i-1)] - d_s[p_i] + 2.01 eps (lo_i + d_s[p_(i-1)]), and
+   the sum telescopes (d_s[s] = 0): sum r_i <= W - d_s[t] + 2.1 V eps W.
+   (c) The fold F of r_k, ..., r_1 exceeds their sum by at most a factor
+   1 + 1.02 k eps: F <= W - d_s[t] + 3.2 V eps W.  (d) One rounding in
+   sigma and two in lam: lam >= B - d_s[t] + 7 V eps B, and B >= T >=
+   (1 - 1.02 V eps) W, so lam >= W - d_s[t] + 5.7 V eps W >= F.  Every
+   prefix fold of r along the walk is at most F <= lam, so the search
+   labels each p_i at most its prefix fold (fact 1), and
+   fl(rho[p_i] + r_i) is at most the next prefix fold: edge i is kept.
 3. *Reduced costs* (:func:`edge_derivative`).  Edge e entering b from a
    has reduced cost d_s[a] + w_e - d_s[b].  Exactly, these are nonnegative
    and sum along a walk from s to t to its excess over T.  So a walk from s
@@ -224,6 +253,12 @@ class GridSpec:
         return indptr, cols[slots].astype(np.int32), slots % self.edge_count
 
     @cached_property
+    def _slot_rows(self) -> np.ndarray:
+        """The template row of each data slot (the tail of its arc), as int32."""
+        indptr = self._csr_template[0]
+        return np.repeat(np.arange(self.vertex_count, dtype=np.int32), np.diff(indptr))
+
+    @cached_property
     def _sub_memo(self) -> tuple[dict, dict]:
         """The memo of :func:`_sub_box` on this grid: sub-grids by extents,
         and entries by (s, t) vertex index pair."""
@@ -296,15 +331,24 @@ class PassageResult:
     target: tuple[int, ...]
 
 
-def _solve(grid: GridSpec, weights: np.ndarray, source: int, **options):
+def _solve(grid: GridSpec, weights: np.ndarray, source: int,
+           potential: Optional[np.ndarray] = None, **options):
     """csgraph Dijkstra from vertex index ``source`` under edge ``weights``
     (unchecked; ``inf`` is an absent edge), with csgraph's ``limit`` and
     ``return_predecessors`` passed through.  Every solve in the package runs
     here, on the grid's one matrix, so solves must not interleave.  Labels
-    are minimum left folds, and ``limit`` keeps their bits (fact 1)."""
+    are minimum left folds, and ``limit`` keeps their bits (fact 1).  Given
+    a ``potential`` p, labels under ``weights``, the arc x->y of edge e
+    costs fl(fl(w_e + p[y]) - p[x]) instead, ``inf`` when p[x] or p[y] is,
+    and these reduced costs stay in the matrix's data (fact 2)."""
     mat = grid._csr_matrix
+    _, indices, perm = grid._csr_template
     # perm is in range; mode="raise" would gather through a buffer copy.
-    np.take(weights, grid._csr_template[2], out=mat.data, mode="wrap")
+    np.take(weights, perm, out=mat.data, mode="wrap")
+    if potential is not None:
+        # -inf at an unlabelled tail makes inf - -inf = inf, never NaN.
+        mat.data += np.take(potential, indices)
+        mat.data -= np.take(np.where(potential == np.inf, -np.inf, potential), grid._slot_rows)
     return _csgraph_dijkstra(mat, directed=True, indices=source, **options)
 
 
@@ -372,14 +416,22 @@ def _bounded_solve(grid: GridSpec, weights: np.ndarray, s: int, t: int, **option
 
 def _prune(grid: GridSpec, d_src: np.ndarray, target: int,
            weights: np.ndarray, bound: float) -> np.ndarray:
-    """A copy of ``weights`` with ``inf`` off the edges kept by the keep test
-    of fact 2 (module docstring) against ``bound``.  ``d_src`` are labels
-    from the source under ``weights``; the labels from vertex index
-    ``target`` come from a solve here with ``limit=bound``."""
-    d_dst = _solve(grid, weights, target, limit=bound)
-    tails, heads = grid._edge_arrays
-    through = np.minimum(d_src[tails] + d_dst[heads], d_src[heads] + d_dst[tails]) + weights
-    return np.where(through <= bound, weights, np.inf)
+    """A copy of ``weights`` with ``inf`` off the edges kept by the
+    goal-directed search of fact 2 (module docstring) against ``bound``.
+    ``d_src`` are labels from the source under ``weights``, capped at
+    ``bound`` or not.  The search from vertex index ``target`` runs here,
+    under the reduced costs by ``d_src``, and labels only the ellipse
+    d_s + d_t <= bound: 1-3 % of the box in the sweeps.  The keep test
+    reads the reduced costs that the solve left in the matrix, at the arcs
+    out of labelled vertices alone."""
+    lam = (bound - d_src[target]) + 8.0 * grid.vertex_count * 2.0 ** -53 * bound
+    rho = _solve(grid, weights, target, potential=d_src, limit=lam)
+    at = np.flatnonzero(rho <= lam)
+    slots = grid._row_slots(at)
+    keep = grid._csr_template[2][slots[rho[at, None] + grid._csr_matrix.data[slots] <= lam]]
+    out = np.full_like(weights, np.inf)
+    out[keep] = weights[keep]
+    return out
 
 
 def _tree_path(grid: GridSpec, pred: np.ndarray, source: int, target: int) -> np.ndarray:

@@ -60,6 +60,11 @@ class TestPsiCommand:
         code, _, err = run(capsys, "psi", "--dist", "cauchy", "--y", "1")
         assert code == 2
 
+    def test_density_overflow_is_a_domain_error(self, capsys):
+        # beta with a < 1 has a density past the largest float at subnormal y.
+        code, out, err = run(capsys, "psi", "--dist", "beta:a=0.05,b=1", "--y", "1e-320")
+        assert (code, out, err) == (2, "", "error: the density overflows at y\n")
+
     # Outputs at y = 0.1, 0.5, 0.9, recorded with each law built as a
     # scipy.stats frozen object.
     @pytest.mark.parametrize("spec, want", [

@@ -4,6 +4,7 @@ import heapq
 import itertools
 import math
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -1114,6 +1115,94 @@ class TestBoundedQuery:
             assert sum(g.edge_count for g in shapes.values()) <= 2 * grid.edge_count or (
                 limit == "pairs")
             assert len(shapes) <= len(pairs)
+
+
+class TestPrune:
+    """The pruning of fact 2 against full solves of matrices built here
+    (:func:`oracle_labels`, :func:`oracle_tree`): it keeps every edge of the
+    oracle geodesic, so the pruned label at t is T bit for bit, and neither
+    keeps nor labels anything outside the exact ellipse d_s + d_t <= B."""
+
+    GRIDS = [fpp.GridSpec(lo=(-3, -3), hi=(10, 4)), fpp.GridSpec(lo=(-2, -2, -2), hi=(5, 2, 2))]
+    LAWS = [parse_distribution(s) for s in ("gamma:shape=2", "beta:a=2,b=3", "exp:rate=1")]
+
+    @staticmethod
+    def case(rng, grid, kind, case):
+        """(lo, w, s, t, B): lower bounds lo <= w, endpoints s != t,
+        and a bound B >= T, the label at t under w.
+        table: a continuous law's weights and their floor on a quantile
+        table of 8 levels with tab[0] = 0, so an eighth of lo is 0.
+        ties and response: exponential weights in even cases, tie-heavy ones
+        in odd cases, where ties also sets a third of lo to 0.
+        response: lo is w with one edge at 0, and B is (1 + MARGIN) times the
+        label with that edge at 1e9, as single_edge_response bounds it."""
+        s, t = rng.choice(grid.vertex_count, 2, replace=False)
+        if kind == "table":
+            law = TestPrune.LAWS[case % 3]
+            u = rng.random(grid.edge_count)
+            w = law._quantile(u)
+            tab = law._quantile(np.arange(8) / 8.0)
+            tab[0] = 0.0
+            lo = tab[np.floor(u * 8).astype(int)]
+        else:
+            w = tie_heavy(rng, grid.edge_count) if case % 2 else rng.exponential(
+                size=grid.edge_count)
+            lo = w.copy()
+            if kind == "ties" and case % 2:
+                lo[rng.random(grid.edge_count) < 1 / 3] = 0.0
+        if kind == "response":
+            e = int(rng.integers(grid.edge_count))
+            lo[e] = 0.0
+            w = lo.copy()
+            w[e] = rng.choice([0.3, 2.0, 1e9])
+            top = np.where(np.arange(grid.edge_count) == e, 1e9, lo)
+            return lo, w, s, t, oracle_labels(grid, top, s)[t] * (1 + fpp.MARGIN)
+        label = oracle_labels(grid, w, s)[t]
+        # Half the cases at B = T, all that fact 2 asks; the rest as the
+        # pruned replicate bounds it: (1 + MARGIN) times the float sum of w
+        # along the tree path under lo.
+        if case % 4 < 2:
+            return lo, w, s, t, label
+        path = tree_edges(grid, oracle_tree(grid, lo, s)[1], s, t)
+        return lo, w, s, t, float(w[list(path)].sum()) * (1 + fpp.MARGIN)
+
+    @pytest.mark.parametrize("kind", ["table", "ties", "response"])
+    @pytest.mark.parametrize("grid", GRIDS, ids=["d2", "d3"])
+    def test_keeps_the_geodesic_inside_the_ellipse(self, monkeypatch, grid, kind):
+        rng = np.random.default_rng(sum(map(ord, kind)) + grid.d)
+        seen = collections.Counter()
+        labels = []
+        solve = fpp._solve
+        monkeypatch.setattr(fpp, "_solve", lambda *a, **k: labels.append(solve(*a, **k))
+                            or labels[-1])
+        for case in range(60):
+            lo, w, s, t, bound = self.case(rng, grid, kind, case)
+            ds, dt = oracle_labels(grid, lo, s), oracle_labels(grid, lo, t)
+            # A solve capped at B has the full labels up to B and inf past
+            # it; the response passes such labels.
+            capped = kind == "response" or case % 3 > 0
+            d_src = np.where(ds <= bound, ds, np.inf) if capped else ds
+            labels.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                pruned = fpp._prune(grid, d_src, t, lo, bound)
+            assert len(labels) == 1
+            kept = np.flatnonzero(pruned != np.inf)
+            assert pruned[kept].tobytes() == lo[kept].tobytes()
+            assert np.all(pruned[np.setdiff1d(np.arange(grid.edge_count), kept)] == np.inf)
+            full, pred = oracle_tree(grid, w, s)
+            assert set(tree_edges(grid, pred, s, t)) <= set(kept.tolist())
+            on_kept = np.where(pruned != np.inf, w, np.inf)
+            assert oracle_labels(grid, on_kept, s)[t].hex() == full[t].hex()
+            ellipse = bound * (1 + 1e-9)
+            a, b = grid.edge_tails[kept], grid.edge_heads[kept]
+            assert np.all(np.minimum(ds[a] + dt[b], ds[b] + dt[a]) + lo[kept] <= ellipse)
+            searched = np.isfinite(labels[0])
+            assert np.all(ds[searched] + dt[searched] <= ellipse)
+            seen["capped"] += bool(np.isinf(d_src).any())
+            seen["zero lo"] += bool(np.any(lo[kept] == 0.0))
+            seen["ball wider"] += bool(np.any((dt <= bound) & (ds + dt > ellipse)))
+        assert min(seen[k] for k in ("capped", "zero lo", "ball wider")) >= 10, seen
 
 
 class TestBoxBias:
