@@ -15,8 +15,7 @@ can lie on a near-optimal path.  Such a row draws the same levels u as
 ``sample`` and computes exact quantiles Q(u) only where they can matter:
 
 1. L_e = tab[floor(u_e K)] with tab[k] = Q(k/K), K = TABLE_SIZE a power of
-   two (so the floor is exact) and tab[0] = lo; L_e <= Q(u_e) by
-   monotonicity alone.
+   two (so the floor is exact); L_e <= Q(u_e) by monotonicity alone.
 2. Solve under L from the source with predecessors, take exact weights on
    that tree path, and set T_ub = (1 + fpp.MARGIN) * their sum, so T_ub >= T.
 3. Prune with ``fpp._prune`` against T_ub.  Its search from the target
@@ -48,6 +47,9 @@ replicates it runs (``_run_chunk``), alone or in a pool, so a set-up error
 is that chunk's error.  The row takes the pruned path when the set-up finds
 a valid table and the quantile time per field exceeds BREAK_EVEN solve
 times, both timed there; which path runs never changes a byte of the output.
+The row's own process loads the graph solver (``fpp._solver``) before it
+times anything or forks a pool, so forked workers inherit it and no set-up
+timing includes its import.
 """
 
 from __future__ import annotations
@@ -138,7 +140,8 @@ def _pruned_pays(draw_s: float, solve_s: float, edges: int) -> bool:
 
 
 def _lower_table(dist: EdgeDistribution) -> tuple[np.ndarray | None, float]:
-    """(tab, seconds per quantile): tab[k] = Q(k / K), with tab[0] = dist.lo.
+    """(tab, seconds per quantile): tab[k] = Q(k / K), so tab[0] = Q(0),
+    the lower end of the support for every law of the package.
 
     tab is None unless it is nonnegative and non-decreasing, and Q at the
     largest level a draw can take is finite and at least tab[-1], so that
@@ -152,7 +155,6 @@ def _lower_table(dist: EdgeDistribution) -> tuple[np.ndarray | None, float]:
         blocks.append(dist._quantile(levels))
         draw_s = min(draw_s, (time.perf_counter() - start) / levels.size)
     tab = np.concatenate(blocks)
-    tab[0] = dist.lo
     top = dist._quantile(np.array([_U_HI]))[0]
     ok = tab[0] >= 0.0 and np.all(np.diff(tab) >= 0.0) and tab[-1] <= top < math.inf
     return (tab if ok else None), draw_s
@@ -230,6 +232,8 @@ def _replicate_values(dist: EdgeDistribution, d: int, n: int, samples: int,
                       seed: int, workers: int) -> np.ndarray:
     tasks = [((dist, d, n, seed), range(a, min(a + 64, samples))) for a in range(0, samples, 64)]
     _CTX.clear()
+    # Forked workers inherit the solver, and no set-up timing includes its import.
+    fpp._solver()
     if workers <= 1:
         parts = list(map(_run_chunk, tasks))
     else:

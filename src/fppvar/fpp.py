@@ -16,6 +16,9 @@ almost surely.  On exact ties it is whichever optimal path the tree holds,
 which is deterministic for a given field and scipy version.
 Derivative-sensitive operations additionally *detect* near-ties between
 distinct geodesics (fact 3) and refuse, signalling a redraw of the field.
+scipy.sparse and its csgraph load on the first solve (:func:`_solver`),
+not with the module: the inequality side of the package never solves a
+graph, and the import would add about 0.1 s and 10 MB to each of its runs.
 
 Two facts carry every bounded solve in the package, and a third the tie check.
 
@@ -99,18 +102,17 @@ Two facts carry every bounded solve in the package, and a third the tie check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from .cube_averaging import random_vertex
 from .edge_distributions import EdgeDistribution, parse_distribution, sample
 
 TIE_TOL = 1e-12
-# Relative margin of a bounded solve's limit over its label (module docstring, fact 2).
+# Relative margin of a bound B over a float sum of weights along a path
+# (module docstring, fact 2).
 MARGIN = 1e-9
 # Half-width of a point-to-point query's sub-box around the span of its two
 # endpoints, on every axis but the one along which they lie farthest apart.
@@ -120,6 +122,14 @@ SUB_PAD = 4
 # than this many copies of the grid, about 56 bytes per edge.
 _MEMO_PAIRS = 4096
 _MEMO_BOXES = 4
+
+
+@cache
+def _solver():
+    """(csr_matrix, dijkstra) of scipy.sparse, imported on the first call."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+    return csr_matrix, dijkstra
 
 
 class GeodesicTieError(RuntimeError):
@@ -265,12 +275,12 @@ class GridSpec:
         return {}, {}
 
     @cached_property
-    def _csr_matrix(self) -> csr_matrix:
+    def _csr_matrix(self):
         """The template as a matrix whose data :func:`_solve` refills per
         solve, so the constructor's checks run once per grid."""
         indptr, indices, _ = self._csr_template
-        return csr_matrix((np.zeros(indices.size), indices, indptr),
-                          shape=(self.vertex_count, self.vertex_count))
+        return _solver()[0]((np.zeros(indices.size), indices, indptr),
+                            shape=(self.vertex_count, self.vertex_count))
 
 
 # A seed as provenance records it: an int, or a SeedSequence's
@@ -349,7 +359,7 @@ def _solve(grid: GridSpec, weights: np.ndarray, source: int,
         # -inf at an unlabelled tail makes inf - -inf = inf, never NaN.
         mat.data += np.take(potential, indices)
         mat.data -= np.take(np.where(potential == np.inf, -np.inf, potential), grid._slot_rows)
-    return _csgraph_dijkstra(mat, directed=True, indices=source, **options)
+    return _solver()[1](mat, directed=True, indices=source, **options)
 
 
 def _sub_box(grid: GridSpec, s: int, t: int) -> tuple[GridSpec, tuple, int, int]:
@@ -535,22 +545,22 @@ def single_edge_response(field: WeightField, v: Sequence[int], e: int,
     vi = grid.vertex_index(v)
     # Every y is finite and nonnegative (checked above), so each modified
     # copy of the validated weights is itself a valid field.  Labels only
-    # rise with y (fact 1): every label below is at most the top one, and
-    # the curve is flat from the first point that reaches it.
+    # rise with y (fact 1): every label below is at most the top one, so the
+    # top label is itself a bound B >= T for every y (fact 2), and the curve
+    # is flat from the first point that reaches it.
     weights = field.weights.copy()
     weights[e] = ys[-1]
     top = _bounded_solve(grid, weights, origin, vi)[vi]
-    bound = top * (1.0 + MARGIN)
     weights[e] = 0.0
-    d0 = _solve(grid, weights, origin, limit=bound)
+    d0 = _solve(grid, weights, origin, limit=top)
     out = np.full_like(ys, top)
     out[0] = d0[vi]
     if out[0] < top and ys.size > 2:
         # The y = 0 weights bound every y's from below (fact 2).
-        pruned = _prune(grid, d0, vi, weights, bound)
+        pruned = _prune(grid, d0, vi, weights, top)
         for j in range(1, ys.size - 1):
             pruned[e] = ys[j]
-            out[j] = _solve(grid, pruned, origin, limit=bound)[vi]
+            out[j] = _solve(grid, pruned, origin, limit=top)[vi]
             if out[j] == top:
                 break
     intercept = float(out[0])

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -48,6 +49,33 @@ class TestPhiCommand:
                               capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
+
+    def test_inequality_side_leaves_scipy_sparse_out(self):
+        # The graph solver loads on the first solve, and these commands
+        # solve no graph.  A fresh interpreter: the fpp tests load the
+        # solver into this one.
+        code = textwrap.dedent("""
+            import contextlib, io, sys
+            from fppvar.cli import dispatch
+
+            runs = [["phi", "--u", "0.5"],
+                    ["psi", "--dist", "gamma:shape=2", "--y", "0.5"],
+                    ["check-neargamma", "--dist", "gamma:shape=2", "--grid-size", "500"],
+                    ["verify-poincare", "--function", "linear-1d", "--mode", "quad"],
+                    ["verify-poincare", "--function", "product-2d", "--mode", "mc",
+                     "--samples", "2000", "--seed", "5"],
+                    ["averaging", "--m", "3", "--verify"],
+                    ["averaging", "--m", "2", "--eval", "1111"]]
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes = [dispatch(argv) for argv in runs]
+            print(codes, sorted(m for m in sys.modules if m.startswith("scipy.sparse")))
+        """)
+        src = str(pathlib.Path(fppvar.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[0, 0, 0, 0, 0, 0, 0] []\n"
 
 
 class TestPsiCommand:

@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 
 from fppvar import experiments as ex
 from fppvar import fpp
-from fppvar.edge_distributions import (_U_HI, _uniforms, beta_family, chi2_family, exponential,
-                                       gamma_family, half_normal, parse_distribution, sample)
+from fppvar.edge_distributions import (_FAMILIES, _U_HI, _uniforms, beta_family, chi2_family,
+                                       exponential, gamma_family, half_normal, parse_distribution,
+                                       sample)
 
 DIST = exponential()
 PRUNED_LAWS = ["gamma:shape=2", "gamma:shape=0.7,rate=3.3", "beta:a=2,b=3",
@@ -107,6 +108,32 @@ class TestEstimateVariance:
                for samples, workers in ((100, 8), (300, 2), (200, 3))]
         assert sizes == [2, 2, 3]
         assert np.array_equal(got[0], ex._replicate_values(DIST, 2, 4, 100, 1, 1))
+
+    def test_solver_loads_before_the_pool_forks(self):
+        # Forked workers inherit the graph solver, and no worker's set-up
+        # timing includes its import.  A fresh interpreter: this one has
+        # loaded the solver already.
+        code = textwrap.dedent("""
+            import multiprocessing as mp
+            import sys
+            from types import SimpleNamespace
+            from fppvar import experiments as ex
+            from fppvar.edge_distributions import exponential
+
+            mp.set_start_method("fork")
+            seen = ["scipy.sparse.csgraph" in sys.modules]
+            pool = ex.mp.Pool
+            ex.mp = SimpleNamespace(Pool=lambda processes: seen.append(
+                "scipy.sparse.csgraph" in sys.modules) or pool(processes))
+            ex.estimate_variance(exponential(), 2, 4, 128, 1, workers=2)
+            print(seen)
+        """)
+        src = str(pathlib.Path(ex.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[False, True]\n"
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -392,19 +419,21 @@ class TestPrunedReplicate:
             patch.setattr(ex, "_pruned_pays", lambda *timings: True)
             check_replicates("pruned", dist, 2, 2, seed, 1)
 
-    @pytest.mark.parametrize("spec", PRUNED_LAWS + ["exp:rate=1", "uniform"])
+    # Every family's defaults, and a support that starts above 0.
+    @pytest.mark.parametrize("spec", PRUNED_LAWS + ["exp:rate=1", "uniform", "uniform:lo=0.5,hi=2"]
+                             + sorted(set(_FAMILIES) - {"uniform"}))
     def test_table_is_the_quantile_at_its_levels(self, spec):
         dist = parse_distribution(spec)
         tab, draw_s = ex._lower_table(dist)
         assert draw_s > 0
-        levels = np.arange(1, ex.TABLE_SIZE) / ex.TABLE_SIZE
-        assert tab[0] == dist.lo
-        assert np.array_equal(tab[1:], dist.ppf(levels))
+        # tab[0] = Q(0) is the lower end of the support, bit for bit.
+        assert tab[:1].tobytes() == np.array([dist.lo]).tobytes()
+        assert np.array_equal(tab, dist.ppf(np.arange(ex.TABLE_SIZE) / ex.TABLE_SIZE))
         assert np.all(np.diff(tab) >= 0)
 
     def test_infinite_top_quantile_keeps_the_plain_path(self, force_pruned):
         # A law whose quantile is inf at the largest level a draw can take.
-        dist = SimpleNamespace(lo=0.0, _quantile=lambda p: np.where(p < _U_HI, p, np.inf))
+        dist = SimpleNamespace(_quantile=lambda p: np.where(p < _U_HI, p, np.inf))
         assert ex._lower_table(dist)[0] is None
         ex._init_worker(dist, 2, 4, 0)
         assert ex._CTX["tab"] is None
@@ -414,6 +443,19 @@ class TestPrunedReplicate:
         # scipy's halfnormal ndtri((1 + u) / 2), which is inf.
         assert ex._lower_table(half_normal())[0] is not None
         check_replicates("pruned", half_normal(), 2, 4, 0, 4)
+
+    def test_top_level_draws_give_finite_replicates(self, monkeypatch):
+        # Levels are clipped to 1 - 2^-52, where the table's validity check
+        # reads the quantile: at 1 - 2^-53 the halfnormal quantile is inf.
+        fake = SimpleNamespace(random=lambda n: np.full(n, 1.0 - 2.0 ** -53))
+        values = []
+        for pays in (False, True):
+            monkeypatch.setattr(ex, "_pruned_pays", lambda *timings, pays=pays: pays)
+            ex._init_worker(half_normal(), 2, 4, 0)
+            with monkeypatch.context() as patch:
+                patch.setattr(np.random, "default_rng", lambda seed: fake)
+                values.append(ex._replicate_value(0))
+        assert values[0] == values[1] == 4 * half_normal()._quantile(np.array([_U_HI]))[0]
 
     def test_bad_exact_weights_fail_loudly(self):
         lower = np.zeros(4)

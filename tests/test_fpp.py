@@ -502,10 +502,19 @@ class TestPassageTime:
             cur = h if cur == t else t
         assert cur == src
         assert w[edges].sum() == pytest.approx(ds[dst], rel=1e-12)
-        # A predecessor cycle that never reaches the source is an error.
+        # A predecessor cycle that never reaches the source is an error,
+        # raised within a walk of V steps; a walk past 2V reads fails here
+        # instead of looping on.
         pred[dst], pred[dst - 1] = dst - 1, dst
+        reads = itertools.count(1)
+
+        class Cycle:
+            def __getitem__(self, v):
+                assert next(reads) <= 2 * grid.vertex_count, "walk past 2V steps"
+                return pred[v]
+
         with pytest.raises(RuntimeError, match="did not reach the source"):
-            fpp._tree_path(grid, pred, src, dst)
+            fpp._tree_path(grid, Cycle(), src, dst)
 
     def test_out_of_box_rejected(self):
         g = fpp.GridSpec(lo=(0, 0), hi=(2, 2))
@@ -1134,8 +1143,8 @@ class TestPrune:
         table of 8 levels with tab[0] = 0, so an eighth of lo is 0.
         ties and response: exponential weights in even cases, tie-heavy ones
         in odd cases, where ties also sets a third of lo to 0.
-        response: lo is w with one edge at 0, and B is (1 + MARGIN) times the
-        label with that edge at 1e9, as single_edge_response bounds it."""
+        response: lo is w with one edge at 0, and B is the label with that
+        edge at 1e9, as single_edge_response bounds it."""
         s, t = rng.choice(grid.vertex_count, 2, replace=False)
         if kind == "table":
             law = TestPrune.LAWS[case % 3]
@@ -1156,7 +1165,7 @@ class TestPrune:
             w = lo.copy()
             w[e] = rng.choice([0.3, 2.0, 1e9])
             top = np.where(np.arange(grid.edge_count) == e, 1e9, lo)
-            return lo, w, s, t, oracle_labels(grid, top, s)[t] * (1 + fpp.MARGIN)
+            return lo, w, s, t, oracle_labels(grid, top, s)[t]
         label = oracle_labels(grid, w, s)[t]
         # Half the cases at B = T, all that fact 2 asks; the rest as the
         # pruned replicate bounds it: (1 + MARGIN) times the float sum of w
@@ -1203,6 +1212,35 @@ class TestPrune:
             seen["zero lo"] += bool(np.any(lo[kept] == 0.0))
             seen["ball wider"] += bool(np.any((dt <= bound) & (ds + dt > ellipse)))
         assert min(seen[k] for k in ("capped", "zero lo", "ball wider")) >= 10, seen
+
+    @pytest.mark.parametrize("power", [-3, 0, 44])
+    def test_slack_keeps_a_near_tie_geodesic(self, power):
+        # On the 3x2 box the geodesic runs s -> p -> t along row 0, with
+        # weights x = 1 + 2^-52 and 1, so T = fl(x + 1) = 2 rounds down.  A
+        # detour from s over row 1 to p, on zero rungs, costs x + 2^-52 under
+        # w but x - 2^-52 = 1 under lo.  So d_s[p] = 1 and d_s[t] = 2 = T,
+        # which leaves fl(B - d_s[t]) = 0 at B = T, while the geodesic's
+        # first edge has the reduced cost fl(x - d_s[p]) = 2^-52 > 0: only
+        # the slack sigma of fact 2 keeps it.
+        g = fpp.GridSpec(lo=(0, 0), hi=(2, 1))
+        x, up = 1.0 + 2.0 ** -52, 1.0 + 2.0 ** -51
+        lo, w = np.full(g.edge_count, 10.0), np.full(g.edge_count, 10.0)
+        for v, axis, lo_e, w_e in [((0, 0), 0, x, x), ((1, 0), 0, 1.0, 1.0),
+                                   ((0, 0), 1, 0.0, 0.0), ((1, 0), 1, 0.0, 0.0),
+                                   ((0, 1), 0, 1.0, up)]:
+            e = g.edge_index(v, axis)
+            lo[e], w[e] = lo_e, w_e
+        scale = 2.0 ** power
+        lo, w = lo * scale, w * scale
+        s, t = g.vertex_index((0, 0)), g.vertex_index((2, 0))
+        full, pred = oracle_tree(g, w, s)
+        ds = oracle_labels(g, lo, s)
+        assert full[t] == ds[t] == 2.0 * scale
+        pruned = fpp._prune(g, ds, t, lo, full[t])
+        kept = np.flatnonzero(pruned != np.inf)
+        assert set(tree_edges(g, pred, s, t)) <= set(kept.tolist())
+        on_kept = np.where(pruned != np.inf, w, np.inf)
+        assert oracle_labels(g, on_kept, s)[t].hex() == full[t].hex()
 
 
 class TestBoxBias:
