@@ -191,7 +191,8 @@ def _cmd_averaging(ns) -> int:
         report = cube_averaging.verify_averaging_properties(ns.m)
         _emit(_json(report), ns.out)
         return 0 if (report.gradient_ok and report.level_bound_ok) else 1
-    bits = [int(c) for c in ns.eval.strip()]
+    # A character other than 0 or 1 reaches g_m as -1, which it refuses.
+    bits = [int(c) if c in "01" else -1 for c in ns.eval.strip()]
     _emit(f"{cube_averaging.g_m(bits, ns.m)}\n", ns.out)
     return 0
 

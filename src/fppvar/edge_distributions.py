@@ -268,7 +268,7 @@ def parse_distribution(spec: str) -> EdgeDistribution:
 
 
 def _check_inside(dist: EdgeDistribution, y: np.ndarray) -> None:
-    if np.any(y <= dist.lo) or np.any(y >= dist.hi):
+    if not np.all((y > dist.lo) & (y < dist.hi)):
         raise ValueError("y must lie strictly inside the support")
 
 

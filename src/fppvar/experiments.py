@@ -17,7 +17,8 @@ can lie on a near-optimal path.  Such a row draws the same levels u as
 1. L_e = tab[floor(u_e K)] with tab[k] = Q(k/K), K = TABLE_SIZE a power of
    two (so the floor is exact); L_e <= Q(u_e) by monotonicity alone.
 2. Solve under L from the source with predecessors, take exact weights on
-   that tree path, and set T_ub = (1 + fpp.MARGIN) * their sum, so T_ub >= T.
+   that tree path, and set T_ub to their left fold from the source, which
+   is at least T (fact 1 in the ``fpp`` module docstring).
 3. Prune with ``fpp._prune`` against T_ub.  Its search from the target
    runs under L reweighted by the step-2 labels d_s (reduced costs), so it
    labels only the ellipse d_s + d_t <= T_ub, with d_t the distances from
@@ -26,11 +27,11 @@ can lie on a near-optimal path.  Such a row draws the same levels u as
 4. Take exact weights on the kept edges, ``inf`` on the rest, and solve
    once more with ``limit=T_ub``; its label at the target is the value.
 
-The value is bit-identical to the full field's by the two facts in the
+The value is bit-identical to the full field's by facts 1 and 2 in the
 ``fpp`` module docstring: L bounds the exact weights from below, and T_ub
-is (1 + MARGIN) times a float sum of exact weights along a path.  Exact
-weights are checked finite and at least L (so nonnegative), as
-``WeightField`` checks a full field.
+is a fold of exact weights along a path from the source.  Exact weights
+are checked finite and at least L (so nonnegative), as ``WeightField``
+checks a full field.
 
 Bounded plain replicate.  A row on the plain path draws the full field with
 ``sample`` and validates it as ``WeightField`` does, then solves it as every
@@ -42,11 +43,12 @@ capped label at the target is the full solve's, bit for bit (fact 1 in the
 the limit of the source: in d=2 about a fifth of the box at n=8, half at
 n=16 and three quarters at n >= 32; in d=3 a few percent.
 
-A process sets a row up (``_init_worker``) on the first chunk of 64
-replicates it runs (``_run_chunk``), alone or in a pool, so a set-up error
-is that chunk's error.  The row takes the pruned path when the set-up finds
-a valid table and the quantile time per field exceeds BREAK_EVEN solve
-times, both timed there; which path runs never changes a byte of the output.
+A process sets a row up (``_row``, one ``_Row`` kept until the next row
+clears it) on the first chunk of 64 replicates it runs (``_run_chunk``),
+alone or in a pool, so a set-up error is that chunk's error.  The row takes
+the pruned path when the set-up finds a valid table and the quantile time
+per field exceeds BREAK_EVEN solve times, both timed there; which path runs
+never changes a byte of the output.
 The row's own process loads the graph solver (``fpp._solver``) before it
 times anything or forks a pool, so forked workers inherit it and no set-up
 timing includes its import.
@@ -54,6 +56,7 @@ timing includes its import.
 
 from __future__ import annotations
 
+import functools
 import math
 import multiprocessing as mp
 import time
@@ -128,10 +131,6 @@ TABLE_SIZE = 4096
 # it runs slower.
 BREAK_EVEN = 1.5
 
-# Per-process context of the row being run: emptied before a row's first
-# chunk, and filled by ``_init_worker`` in each process that runs a chunk.
-_CTX: dict = {}
-
 
 def _pruned_pays(draw_s: float, solve_s: float, edges: int) -> bool:
     """Whether a row takes the pruned path, from the seconds per quantile
@@ -160,8 +159,10 @@ def _lower_table(dist: EdgeDistribution) -> tuple[np.ndarray | None, float]:
     return (tab if ok else None), draw_s
 
 
-def _init_worker(dist: EdgeDistribution, d: int, n: int, seed: int) -> None:
-    """Set up the row in this process; ``_CTX`` is filled only on success."""
+@functools.lru_cache(maxsize=1)
+def _row(dist: EdgeDistribution, d: int, n: int, seed: int) -> _Row:
+    """The row set up in this process, timed here to choose its path; kept
+    until ``_replicate_values`` clears it before the next row."""
     grid = box_for_target(d, n)
     src = grid.vertex_index((0,) * d)
     tab, draw_s = _lower_table(dist)
@@ -175,8 +176,8 @@ def _init_worker(dist: EdgeDistribution, d: int, n: int, seed: int) -> None:
             solve_s = min(solve_s, time.perf_counter() - start)
         if not _pruned_pays(draw_s, solve_s, grid.edge_count):
             tab = None
-    _CTX.update(dist=dist, grid=grid, n=n, seed=seed, src_index=src, tab=tab,
-                dst=grid.vertex_index((n,) + (0,) * (d - 1)))
+    return _Row(dist=dist, grid=grid, n=n, seed=seed, src=src,
+                dst=grid.vertex_index((n,) + (0,) * (d - 1)), tab=tab)
 
 
 def _exact(dist: EdgeDistribution, u: np.ndarray, lower: np.ndarray,
@@ -189,49 +190,48 @@ def _exact(dist: EdgeDistribution, u: np.ndarray, lower: np.ndarray,
     return q
 
 
-def _pruned_value(ss) -> float:
-    """The replicate value with exact quantiles only on the edges that can
-    lie on a geodesic; equal to the plain value (module docstring)."""
-    grid, dist, tab = _CTX["grid"], _CTX["dist"], _CTX["tab"]
-    src, dst = _CTX["src_index"], _CTX["dst"]
-    u = _uniforms(ss, grid.edge_count)
-    lower = tab[(u * TABLE_SIZE).astype(np.intp)]
-    d0, pred = fpp._solve(grid, lower, src, return_predecessors=True)
-    chain = fpp._tree_path(grid, pred, src, dst)
-    path = grid._edges_between(chain[:-1], chain[1:])
-    t_ub = float(_exact(dist, u, lower, path).sum()) * (1.0 + fpp.MARGIN)
-    weights = fpp._prune(grid, d0, dst, lower, t_ub)
-    keep = np.flatnonzero(weights != np.inf)
-    weights[keep] = _exact(dist, u, lower, keep)
-    return float(fpp._solve(grid, weights, src, limit=t_ub)[dst])
+@dataclass(frozen=True)
+class _Row:
+    """One sweep row as a process runs it, from the origin ``src`` to n*e1
+    ``dst`` (vertex indices); ``tab`` is None on the plain path."""
+    dist: EdgeDistribution
+    grid: fpp.GridSpec
+    n: int
+    seed: int
+    src: int
+    dst: int
+    tab: np.ndarray | None
 
-
-def _plain_value(ss) -> float:
-    """The replicate value from the full field, by the bounded solve of
-    ``fpp`` (module docstring)."""
-    grid, dst = _CTX["grid"], _CTX["dst"]
-    weights = fpp.WeightField(grid=grid, weights=sample(_CTX["dist"], ss, grid.edge_count)).weights
-    return float(fpp._bounded_solve(grid, weights, _CTX["src_index"], dst)[dst])
-
-
-def _replicate_value(r: int) -> float:
-    ss = np.random.SeedSequence((_CTX["seed"], _CTX["n"], r))
-    return _pruned_value(ss) if _CTX["tab"] is not None else _plain_value(ss)
+    def value(self, r: int) -> float:
+        """The passage time of replicate r, equal on both paths to the full
+        field's (module docstring)."""
+        ss = np.random.SeedSequence((self.seed, self.n, r))
+        grid, src, dst = self.grid, self.src, self.dst
+        if self.tab is None:
+            field = fpp.WeightField(grid=grid, weights=sample(self.dist, ss, grid.edge_count))
+            return float(fpp._bounded_solve(grid, field.weights, src, dst)[dst])
+        u = _uniforms(ss, grid.edge_count)
+        lower = self.tab[(u * TABLE_SIZE).astype(np.intp)]
+        d0, pred = fpp._solve(grid, lower, src, return_predecessors=True)
+        path = fpp._tree_path(grid, pred, src, dst)[1]
+        t_ub = float(np.add.accumulate(_exact(self.dist, u, lower, path))[-1])
+        weights = fpp._prune(grid, d0, dst, lower, t_ub)
+        keep = np.flatnonzero(weights != np.inf)
+        weights[keep] = _exact(self.dist, u, lower, keep)
+        return float(fpp._solve(grid, weights, src, limit=t_ub)[dst])
 
 
 def _run_chunk(task) -> list[float]:
     """Replicate values of one chunk, ``task`` = ((dist, d, n, seed),
     indices); a process's first chunk of a row sets the row up."""
     row, indices = task
-    if not _CTX:
-        _init_worker(*row)
-    return [_replicate_value(r) for r in indices]
+    return list(map(_row(*row).value, indices))
 
 
 def _replicate_values(dist: EdgeDistribution, d: int, n: int, samples: int,
                       seed: int, workers: int) -> np.ndarray:
     tasks = [((dist, d, n, seed), range(a, min(a + 64, samples))) for a in range(0, samples, 64)]
-    _CTX.clear()
+    _row.cache_clear()
     # Forked workers inherit the solver, and no set-up timing includes its import.
     fpp._solver()
     if workers <= 1:

@@ -43,11 +43,8 @@ Two facts carry every bounded solve in the package, and a third the tie check.
    float-optimal path P* from s to t, the label at t from s under w on the
    kept edges alone (``inf`` elsewhere, ``limit=B``) is T, bit for bit: it
    is the minimum fold over kept paths, at most T through P* and at least T
-   because kept paths are paths of the box.  B = (1 + MARGIN) X is at least
-   T when X is, or when X is any float sum of w along a path of k edges from
-   s to t: that sum and the path's fold each lie within a factor
-   (1 + k eps) of its exact sum (eps = 2^-53; sums in the subnormal range
-   are exact), and MARGIN = 1e-9 dwarfs 2 k eps, about 1e-13 here.
+   because kept paths are paths of the box.  By fact 1, the left fold of w
+   from s along any path from s to t is such a B.
    *Goal-directed search.*  :func:`_prune` finds d_t only inside the
    ellipse, by a search from t under the reduced costs r(x->y) =
    fl(fl(lo_e + d_s[y]) - d_s[x]) of each arc: Johnson's reweighting by the
@@ -57,7 +54,8 @@ Two facts carry every bounded solve in the package, and a third the tie check.
    The search stops at lam = fl(B - d_s[t]) + sigma, sigma = 8 V eps B
    over V vertices, and keeps edge e when fl(rho[x] + r(x->y)) <= lam for
    one of its two arcs.  What it labels lies within a few V eps B of the
-   ellipse.
+   ellipse.  Here eps = 2^-53, and a float fold of k nonnegative terms lies
+   within a factor (1 + k eps) of their exact sum (on it when subnormal).
    *r >= 0 exactly.*  Dijkstra relaxes the arcs from every labelled y to
    its neighbours x not yet settled (a settled x has d_s[x] <= d_s[y]), so
    a labelled x has d_s[x] <= fl(d_s[y] + lo_e), or d_s[x] <= limit <
@@ -111,9 +109,6 @@ from .cube_averaging import random_vertex
 from .edge_distributions import EdgeDistribution, parse_distribution, sample
 
 TIE_TOL = 1e-12
-# Relative margin of a bound B over a float sum of weights along a path
-# (module docstring, fact 2).
-MARGIN = 1e-9
 # Half-width of a point-to-point query's sub-box around the span of its two
 # endpoints, on every axis but the one along which they lie farthest apart.
 SUB_PAD = 4
@@ -444,13 +439,16 @@ def _prune(grid: GridSpec, d_src: np.ndarray, target: int,
     return out
 
 
-def _tree_path(grid: GridSpec, pred: np.ndarray, source: int, target: int) -> np.ndarray:
-    """Vertices of csgraph's predecessor tree path, from target back to source:
-    the geodesic of every passage query and the pruned replicate's bound path."""
+def _tree_path(grid: GridSpec, pred: np.ndarray, source: int,
+               target: int) -> tuple[np.ndarray, np.ndarray]:
+    """(vertices, edges) of csgraph's predecessor tree path, both in order
+    from source to target: the geodesic of every passage query and the
+    pruned replicate's bound path."""
     chain = [target]
     for _ in range(grid.vertex_count):
         if chain[-1] == source:
-            return np.array(chain)
+            chain = np.array(chain[::-1])
+            return chain, grid._edges_between(chain[:-1], chain[1:])
         chain.append(int(pred[chain[-1]]))
     raise RuntimeError("predecessor walk did not reach the source")
 
@@ -471,8 +469,7 @@ def _passage(field: WeightField, u: Sequence[int],
     grid = field.grid
     ui, vi = grid.vertex_index(u), grid.vertex_index(v)
     ds, pred = _bounded_solve(grid, field.weights, ui, vi, return_predecessors=True)
-    chain = _tree_path(grid, pred, ui, vi)[::-1]
-    edges = grid._edges_between(chain[:-1], chain[1:])
+    chain, edges = _tree_path(grid, pred, ui, vi)
     fold = np.add.accumulate(field.weights[edges])
     if (fold[-1] if edges.size else 0.0) != ds[vi]:
         raise RuntimeError("geodesic weight fold disagrees with the label")

@@ -93,6 +93,10 @@ class TestPsiCommand:
         code, out, err = run(capsys, "psi", "--dist", "beta:a=0.05,b=1", "--y", "1e-320")
         assert (code, out, err) == (2, "", "error: the density overflows at y\n")
 
+    def test_nan_is_outside_the_support(self, capsys):
+        code, out, err = run(capsys, "psi", "--dist", "exp", "--y", "nan")
+        assert (code, out, err) == (2, "", "error: y must lie strictly inside the support\n")
+
     # Outputs at y = 0.1, 0.5, 0.9, recorded with each law built as a
     # scipy.stats frozen object.
     @pytest.mark.parametrize("spec, want", [
@@ -203,6 +207,12 @@ class TestAveraging:
     def test_wrong_length(self, capsys):
         code, _, err = run(capsys, "averaging", "--m", "2", "--eval", "111")
         assert code == 2
+
+    @pytest.mark.parametrize("bits", ["01a1", "0121", "01-1", "01\u06611"])
+    def test_non_bits_refused(self, capsys, bits):
+        # "\u0661" is ARABIC-INDIC DIGIT ONE, which int() reads as 1.
+        code, out, err = run(capsys, "averaging", "--m", "2", "--eval", bits)
+        assert (code, out, err) == (2, "", "error: bit vector entries must be 0 or 1\n")
 
 
 class TestFpp:

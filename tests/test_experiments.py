@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from fppvar import experiments as ex
 from fppvar import fpp
@@ -91,7 +93,7 @@ class TestEstimateVariance:
 
     def test_row_set_up_once_per_call(self, monkeypatch):
         # A serial row is set up once, not once per chunk of 64, and no
-        # context carries over: two identical calls set their rows up twice.
+        # row carries over: two identical calls set their rows up twice.
         timings = []
         pays = ex._pruned_pays
         monkeypatch.setattr(ex, "_pruned_pays", lambda *t: timings.append(t) or pays(*t))
@@ -294,13 +296,24 @@ def _box(d, n):
     return ex.box_for_target(d, n)
 
 
+def _set_up(dist, d, n, seed):
+    """The row, set up afresh in this process under the current path choice."""
+    ex._row.cache_clear()
+    return ex._row(dist, d, n, seed)
+
+
+class _Law(SimpleNamespace):
+    """A stub law, hashable as the row set-up's cache needs."""
+    __hash__ = object.__hash__
+
+
 def _replicate_ok(path, dist, d, n, seed, r) -> bool:
     """Whether replicate r takes ``path`` ("pruned" or "plain") and its value
     equals, bit for bit, the label of the full field that ``sample`` draws
     for it; on the pruned path, also whether every table lower bound sits at
-    or below its edge's weight.  The row is set up by ``ex._init_worker`` in
-    this process."""
-    tab = ex._CTX["tab"]
+    or below its edge's weight.  The row is the one set up in this process."""
+    row = ex._row(dist, d, n, seed)
+    tab = row.tab
     grid = _box(d, n)
     field = fpp.WeightField(grid=grid, weights=sample(
         dist, np.random.SeedSequence((seed, n, r)), grid.edge_count))
@@ -311,7 +324,7 @@ def _replicate_ok(path, dist, d, n, seed, r) -> bool:
         u = _uniforms(np.random.SeedSequence((seed, n, r)), grid.edge_count)
         took = (tab is not None
                 and bool(np.all(tab[np.floor(u * ex.TABLE_SIZE).astype(int)] <= field.weights)))
-    return took and ex._replicate_value(r).hex() == want.hex()
+    return took and row.value(r).hex() == want.hex()
 
 
 def check_replicates(path, dist, d, n, seed, replicates, workers=1):
@@ -319,11 +332,11 @@ def check_replicates(path, dist, d, n, seed, replicates, workers=1):
     when more than one (the full-field draws and solves dominate the cost);
     they are forked, so they inherit a patched path choice."""
     args = [(path, dist, d, n, seed, r) for r in range(replicates)]
+    ex._row.cache_clear()
     if workers == 1:
-        ex._init_worker(dist, d, n, seed)
         ok = [_replicate_ok(*a) for a in args]
     else:
-        with mp.get_context("fork").Pool(workers, ex._init_worker, (dist, d, n, seed)) as pool:
+        with mp.get_context("fork").Pool(workers, ex._row, (dist, d, n, seed)) as pool:
             ok = pool.starmap(_replicate_ok, args, chunksize=16)
     assert [r for r in range(replicates) if not ok[r]] == []
 
@@ -355,13 +368,13 @@ class TestPlainReplicate:
     @pytest.mark.parametrize("d, n", [(2, 2), (2, 8), (3, 4)])
     def test_strip_edges_are_the_box_edges(self, force_plain, d, n):
         # A plain row's first replicate leaves the strip in the box's query memo.
-        ex._init_worker(DIST, d, n, 0)
-        ex._replicate_value(0)
+        row = _set_up(DIST, d, n, 0)
+        row.value(0)
         strip, edges = _strip_edges(_box(d, n), n)
-        grid = ex._CTX["grid"]
+        grid = row.grid
         shapes, pairs = grid._sub_memo
-        assert list(pairs) == [(ex._CTX["src_index"], ex._CTX["dst"])]
-        got, picks, got_src, got_dst = pairs[ex._CTX["src_index"], ex._CTX["dst"]]
+        assert list(pairs) == [(row.src, row.dst)]
+        got, picks, got_src, got_dst = pairs[row.src, row.dst]
         assert got.extents == strip.extents and list(shapes.values()) == [got]
         assert np.array_equal(fpp._sub_weights(np.arange(grid.edge_count, dtype=float), picks),
                               edges)
@@ -377,13 +390,13 @@ class TestPlainReplicate:
         weights = np.random.default_rng(5).uniform(0.5, 1.5, grid.edge_count)
         weights[edges] += 10.0
         monkeypatch.setattr(ex, "sample", lambda dist, ss, count: weights.copy())
-        ex._init_worker(DIST, 2, n, 0)
+        row = _set_up(DIST, 2, n, 0)
         want = float(fpp.distances_from(fpp.WeightField(grid=grid, weights=weights),
                                         (0, 0))[grid.vertex_index((n, 0))])
         cap = fpp.distances_from(fpp.WeightField(grid=strip, weights=weights[edges]),
                                  (0, 0))[strip.vertex_index((n, 0))]
         assert cap > want
-        assert ex._replicate_value(0).hex() == want.hex()
+        assert row.value(0).hex() == want.hex()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
     def test_bad_weights_fail_loudly(self, force_plain, monkeypatch, bad):
@@ -391,9 +404,9 @@ class TestPlainReplicate:
         weights = np.ones(grid.edge_count)
         weights[-1] = bad
         monkeypatch.setattr(ex, "sample", lambda dist, ss, count: weights.copy())
-        ex._init_worker(DIST, 2, 4, 0)
+        row = _set_up(DIST, 2, 4, 0)
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            ex._replicate_value(0)
+            row.value(0)
 
 
 class TestPrunedReplicate:
@@ -433,10 +446,9 @@ class TestPrunedReplicate:
 
     def test_infinite_top_quantile_keeps_the_plain_path(self, force_pruned):
         # A law whose quantile is inf at the largest level a draw can take.
-        dist = SimpleNamespace(_quantile=lambda p: np.where(p < _U_HI, p, np.inf))
+        dist = _Law(_quantile=lambda p: np.where(p < _U_HI, p, np.inf))
         assert ex._lower_table(dist)[0] is None
-        ex._init_worker(dist, 2, 4, 0)
-        assert ex._CTX["tab"] is None
+        assert _set_up(dist, 2, 4, 0).tab is None
 
     def test_half_normal_top_quantile_is_finite(self, force_pruned):
         # Draws stop at 1 - 2^-52: at 1 - 2^-53, (1 + u) / 2 rounds to 1 in
@@ -451,11 +463,33 @@ class TestPrunedReplicate:
         values = []
         for pays in (False, True):
             monkeypatch.setattr(ex, "_pruned_pays", lambda *timings, pays=pays: pays)
-            ex._init_worker(half_normal(), 2, 4, 0)
+            row = _set_up(half_normal(), 2, 4, 0)
             with monkeypatch.context() as patch:
                 patch.setattr(np.random, "default_rng", lambda seed: fake)
-                values.append(ex._replicate_value(0))
+                values.append(row.value(0))
         assert values[0] == values[1] == 4 * half_normal()._quantile(np.array([_U_HI]))[0]
+
+    def test_bound_folds_from_the_source(self, monkeypatch):
+        # The straight path from s to t = 3 e1 has the weights 2^-53, 2^-53
+        # and 1 from s, and every other edge costs 10.  Folded from s they
+        # give fl(2^-52 + 1) = 1 + 2^-52 = T; folded from t, 1.0 < T, which
+        # would cap the last solve below T.  The table is the quantile at
+        # every level drawn, so the lower bounds are the weights and their
+        # tree path is the straight path.
+        grid = fpp.GridSpec(lo=(0, -1), hi=(3, 1))
+        tab = np.full(ex.TABLE_SIZE, 10.0)
+        tab[:2] = 2.0 ** -53, 1.0
+        level = np.full(grid.edge_count, 2)
+        level[[grid.edge_index((x, 0), 0) for x in range(3)]] = 0, 0, 1
+        monkeypatch.setattr(ex, "_uniforms", lambda ss, count: level / ex.TABLE_SIZE)
+        law = SimpleNamespace(_quantile=lambda p: tab[(p * ex.TABLE_SIZE).astype(int)])
+        s, t = grid.vertex_index((0, 0)), grid.vertex_index((3, 0))
+        row = ex._Row(dist=law, grid=grid, n=3, seed=0, src=s, dst=t, tab=tab)
+        upper = csr_matrix((tab[level], (grid.edge_tails, grid.edge_heads)),
+                           shape=(grid.vertex_count,) * 2)
+        want = dijkstra(upper, directed=False, indices=s)[t]
+        assert want == 1.0 + 2.0 ** -52
+        assert row.value(0).hex() == want.hex()
 
     def test_bad_exact_weights_fail_loudly(self):
         lower = np.zeros(4)
@@ -480,8 +514,7 @@ class TestPrunedReplicate:
 
         monkeypatch.setattr(ex, "_pruned_pays", spy)
         for spec in ("exp:rate=1", "beta:a=2,b=3"):
-            ex._init_worker(parse_distribution(spec), 2, 8, 1)
-            assert (ex._CTX["tab"] is not None) == choices[-1]
+            assert (_set_up(parse_distribution(spec), 2, 8, 1).tab is not None) == choices[-1]
         assert choices == [False, True]
 
     def test_rows_do_not_depend_on_the_path(self, monkeypatch):

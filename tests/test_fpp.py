@@ -437,7 +437,7 @@ class TestPassageTime:
         # tree holds.  The reference tree is csgraph's undirected solve of an
         # upper-triangular matrix built here (each edge once, tail to head);
         # its path is walked back from the target and compared in source to
-        # target order.
+        # target order, the order in which fpp._tree_path reads it.
         rng = np.random.default_rng(11)
         grid2 = fpp.GridSpec(lo=(0, 0), hi=(4, 4))
         fields = [np.ones(grid2.edge_count), np.zeros(grid2.edge_count)]
@@ -453,7 +453,8 @@ class TestPassageTime:
                 upper = csr_matrix((w, (grid.edge_tails, grid.edge_heads)), shape=shape)
                 field = fpp.WeightField(grid=grid, weights=w)
                 for src, dst in pairs:
-                    si, cur = grid.vertex_index(src), grid.vertex_index(dst)
+                    si, di = grid.vertex_index(src), grid.vertex_index(dst)
+                    cur = di
                     pred = dijkstra(upper, directed=False, indices=si,
                                     return_predecessors=True)[1]
                     back = []
@@ -463,6 +464,7 @@ class TestPassageTime:
                         cur = nxt
                     res = fpp.passage_time(field, src, dst)
                     assert res.geodesic_edges == tuple(reversed(back)), (w, src, dst)
+                    assert fpp._tree_path(grid, pred, si, di)[1].tolist() == back[::-1]
 
     def test_zero_weights_brute_force_3x3(self):
         grid = fpp.GridSpec(lo=(0, 0), hi=(2, 2))
@@ -492,16 +494,16 @@ class TestPassageTime:
         w = sample(exponential(), 4, grid.edge_count)
         src, dst = 0, grid.vertex_count - 1
         ds, pred = fpp._solve(grid, w, src, return_predecessors=True)
-        chain = fpp._tree_path(grid, pred, src, dst)
-        assert chain[0] == dst and chain[-1] == src
-        edges = grid._edges_between(chain[:-1], chain[1:])
-        cur = dst
+        chain, edges = fpp._tree_path(grid, pred, src, dst)
+        assert chain[0] == src and chain[-1] == dst and edges.size == chain.size - 1
+        cur = src
         for e in edges.tolist():
             t, h = int(grid.edge_tails[e]), int(grid.edge_heads[e])
             assert cur in (t, h)
             cur = h if cur == t else t
-        assert cur == src
-        assert w[edges].sum() == pytest.approx(ds[dst], rel=1e-12)
+        assert cur == dst
+        # From the source, the left fold of the path's weights is the label.
+        assert np.add.accumulate(w[edges])[-1].hex() == ds[dst].hex()
         # A predecessor cycle that never reaches the source is an error,
         # raised within a walk of V steps; a walk past 2V reads fails here
         # instead of looping on.
@@ -1168,12 +1170,12 @@ class TestPrune:
             return lo, w, s, t, oracle_labels(grid, top, s)[t]
         label = oracle_labels(grid, w, s)[t]
         # Half the cases at B = T, all that fact 2 asks; the rest as the
-        # pruned replicate bounds it: (1 + MARGIN) times the float sum of w
-        # along the tree path under lo.
+        # pruned replicate bounds it: the left fold of w from s along the
+        # tree path under lo.
         if case % 4 < 2:
             return lo, w, s, t, label
         path = tree_edges(grid, oracle_tree(grid, lo, s)[1], s, t)
-        return lo, w, s, t, float(w[list(path)].sum()) * (1 + fpp.MARGIN)
+        return lo, w, s, t, float(np.add.accumulate(w[list(path)])[-1])
 
     @pytest.mark.parametrize("kind", ["table", "ties", "response"])
     @pytest.mark.parametrize("grid", GRIDS, ids=["d2", "d3"])
