@@ -1,3 +1,4 @@
+import hashlib
 import random
 from math import comb
 
@@ -142,6 +143,13 @@ class TestAveragingFunction:
         for bits in ([0, 1, 1, 1], [False, True, True, True], [0.0, 1.0, 1.0, 1.0],
                      np.array([0, 1, 1, 1], dtype=np.uint8)):
             assert ca.g_m(bits, 2) == 2
+
+    def test_reports_golden(self):
+        # SHA-256 of the reports' reprs, recorded when the check enumerated
+        # all 2^(m^2) strings.
+        reps = "\n".join(repr(ca.verify_averaging_properties(m)) for m in range(1, 5))
+        assert hashlib.sha256(reps.encode()).hexdigest() == (
+            "a18f9c7a6efb4b848bc195a7adca351900d24f7020c7dc362baba4098fc7be1f")
 
     def test_exhaustive_guard(self):
         with pytest.raises(ValueError):

@@ -383,3 +383,33 @@ class TestOneReportBuilder:
                       lambda: P.discrete_gradient_norm(tf, 0, rule)):
             with pytest.raises(ValueError, match="n_cont <= 6"):
                 check()
+
+
+def _digest(items) -> str:
+    return hashlib.sha256("\n".join(map(repr, items)).encode()).hexdigest()
+
+
+class TestReportGoldens:
+    """SHA-256 of the reports' reprs, recorded before tensorisation and the
+    Monte Carlo partials moved onto the shared builder and evaluator."""
+
+    def test_quadrature(self):
+        reps = [P.verify_modified_poincare(P.REGISTRY[k], rule=rule_for(P.REGISTRY[k]))
+                for k in sorted(P.REGISTRY)]
+        assert _digest(reps) == (
+            "d3d0b7aff33b9715bb70012fef8fff8cb9e0278a9be0d0fe11fc25e5c74d6bd1")
+
+    @pytest.mark.parametrize("seed, digest", [
+        (0, "a007ff715844539eb8bcb6a548487e52be885a14f73b0fbdc13acc6fa134a2b0"),
+        (1, "5dddb1df8f3731c1b55bba161e29a4ff879aca2a549033f5caa99390d83522af"),
+        (7, "35f252b8f1065d0c2a7803c5699f8cf47ea06325853a6b63f33c9cf9c9612dee")])
+    def test_monte_carlo(self, seed, digest):
+        reps = [P.verify_modified_poincare(P.REGISTRY[k], mc={"samples": 5000, "seed": seed})
+                for k in sorted(P.REGISTRY)]
+        assert _digest(reps) == digest
+
+    def test_discrete_gradient_norms(self):
+        norms = [P.discrete_gradient_norm(tf, q) for _, tf in sorted(P.REGISTRY.items())
+                 for q in range(tf.n_bits)]
+        assert _digest(norms) == (
+            "fcda74223f20188ae7096f5b299b847511427d7247c7c25345e445afbed7df80")
