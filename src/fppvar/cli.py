@@ -8,7 +8,7 @@ failed property check), 2 usage or domain error.
 ``--config FILE`` holds ``key=value`` lines.  A key is a long option name
 without dashes (``grid-size``, ``y-max``) and sets that option's default in
 every subcommand that has it, required options included; flags still win.
-Values are checked like flags, and an unknown key exits 2.
+Values are checked like flags, and an unknown or repeated key exits 2.
 """
 
 from __future__ import annotations
@@ -41,7 +41,10 @@ def _load_config(path: str) -> dict[str, str]:
             key, eq, val = line.partition("=")
             if not eq:
                 raise CliError(f"bad config line: {raw.strip()!r}")
-            out[key.strip()] = val.strip()
+            key = key.strip()
+            if key in out:
+                raise CliError(f"repeated config key {key!r}")
+            out[key] = val.strip()
     return out
 
 
@@ -61,15 +64,7 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 
 
 def _json(obj) -> str:
-    return json.dumps(dataclasses.asdict(obj), indent=2, default=_jsonable) + "\n"
-
-
-def _jsonable(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError(f"not JSON serializable: {type(value)}")
+    return json.dumps(dataclasses.asdict(obj), indent=2) + "\n"
 
 
 def _build_parser(config: dict[str, str]) -> argparse.ArgumentParser:

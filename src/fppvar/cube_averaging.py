@@ -7,7 +7,7 @@ spacing).  A single bit flip changes the weight by one and the cut points are
 distinct, so every discrete gradient of g_m is 0 or 1/2; each level set is a
 narrow band of weight classes carrying probability at most 1/(m+1) plus one
 central binomial mass, which is below 2*c1/m for every m (verified exactly
-through m = 32 in the tests).
+through m = 32 by :func:`verify_averaging_properties`).
 
 g_m depends on its bits only through their weight, so it is one
 weight-indexed table of m^2 + 1 levels, built once per m.  :func:`g_m`,
@@ -24,9 +24,10 @@ The weight-then-lexicographic ``rank``/``unrank`` bijection is kept as the
 canonical cube ordering: g_m is nondecreasing along it, and a one-bit flip
 moves the rank by at most the two adjacent weight-class sizes.
 
-Exhaustive checks enumerate the cube with :func:`cube`, whose row i holds
-the bits of i, so :func:`flip` reads the value at x with bit q flipped from
-row i XOR 2^q instead of evaluating the function again.
+Only the checks of :mod:`fppvar.poincare` enumerate the cube, with
+:func:`cube`, whose row i holds the bits of i, so :func:`flip` reads the
+value at x with bit q flipped from row i XOR 2^q instead of evaluating the
+function again.
 """
 
 from __future__ import annotations
@@ -146,12 +147,14 @@ def _levels(m: int) -> np.ndarray:
 
 
 def g_m(bits: Sequence[int], m: int) -> int:
-    """Evaluate the averaging function for the given m."""
-    levels = _levels(m)
+    """Evaluate the averaging function for the given m.  m and the length are
+    checked first: the table takes seconds to build for m in the tens."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
     vals = np.asarray(bits)
     if vals.shape != (m * m,):
         raise ValueError(f"bit vector must have length {m * m}, got shape {vals.shape}")
-    return int(levels[_bits(vals).sum()])
+    return int(_levels(m)[_bits(vals).sum()])
 
 
 @dataclass(frozen=True)
@@ -164,19 +167,17 @@ class AveragingReport:
 
 
 def verify_averaging_properties(m: int) -> AveragingReport:
-    """Exhaustively verify the flip-gradient and level-set bounds for small m.
+    """Verify the flip-gradient and level-set bounds of g_m exactly, m <= 32.
 
-    Enumerates all 2^(m^2) strings (m <= 4), checks that every one-bit flip
-    changes g_m by at most 1, and that the largest level-set probability is
-    at most 2*c1/m with c1 computed numerically.
+    A flip moves the weight by one and every weight occurs, so every flip
+    moves g_m by at most 1 exactly when neighbouring table entries differ by
+    at most 1.  The largest level-set mass, from :func:`level_probabilities`,
+    must be at most 2*c1/m with c1 computed numerically.
     """
-    if m > 4:
-        raise ValueError("exhaustive verification is limited to m <= 4")
-    n = m * m
-    values = _levels(m)[cube(n).sum(axis=1).astype(int)]
-    gradient_ok = all(np.all(np.abs(flip(values, q)) <= 1) for q in range(n))
-    counts = np.bincount(values, minlength=m + 1)
-    max_level_prob = float(counts.max()) / values.size
+    if m > 32:
+        raise ValueError("the averaging check is limited to m <= 32")
+    gradient_ok = bool(np.all(np.abs(np.diff(_levels(m))) <= 1))
+    max_level_prob = max(level_probabilities(m))
     c1 = c1_constant(m)
     return AveragingReport(m=m, max_level_prob=max_level_prob,
                            gradient_ok=gradient_ok, c1_value=c1,

@@ -82,8 +82,8 @@ class EdgeDistribution:
     stretched by ``scale``.  Each method maps y to x = (y - lo) / scale and
     evaluates the closed form where x is inside the standard support (closed
     for the density, open for the cdf and sf), with the limit values
-    outside and NaN at NaN, as scipy's distributions do.  A law pickles as its
-    name, which :func:`parse_distribution` reads back as the same law.
+    outside, at +inf for the density too, and NaN at NaN.  A law pickles as
+    its name, which :func:`parse_distribution` reads back as the same law.
     """
     name: str
     lo: float
@@ -99,11 +99,12 @@ class EdgeDistribution:
     def _on_support(self, y, low: float, high: float, kernel: Callable, closed: bool = False):
         """kernel at x = (y - lo) / scale inside the standard support, low
         outside it at or below its lower end, high outside it at or above its
-        upper end, and NaN at NaN."""
+        upper end and at +inf, and NaN at NaN."""
         x = (np.asarray(y, dtype=float) - self.lo) / self.scale
         out = np.where(x <= 0.0, low, high)
         out[np.isnan(x)] = math.nan
-        keep = (x >= 0.0) & (x <= self.law.end) if closed else (x > 0.0) & (x < self.law.end)
+        keep = ((x >= 0.0) & (x <= self.law.end) & (x < math.inf) if closed
+                else (x > 0.0) & (x < self.law.end))
         out[keep] = kernel(x[keep])
         return out[()]
 
@@ -192,9 +193,11 @@ def _half_normal_ppf(p):
                     -special.ndtri((1.0 - np.maximum(p, 0.5)) / 2.0))
 
 
+# x * x overflows to inf far out, where both kernels reach their limits.
+_far_out = np.errstate(over="ignore")
 _HALF_NORMAL = _law(math.inf, 1 - 2.0 / np.pi, _half_normal_ppf,
-                    lambda x: np.sqrt(2.0 / np.pi) * np.exp(-x * x / 2.0),
-                    lambda x: 0.5 * np.log(2.0 / np.pi) - x * x / 2.0,
+                    _far_out(lambda x: np.sqrt(2.0 / np.pi) * np.exp(-x * x / 2.0)),
+                    _far_out(lambda x: 0.5 * np.log(2.0 / np.pi) - x * x / 2.0),
                     lambda x: special.erf(x / np.sqrt(2)), lambda x: 2 * special.ndtr(-x))
 
 

@@ -13,22 +13,24 @@ Two corollaries with explicit constants are verified as well: the gamma-type
 bound with the c(k)-weighted ratio, and the unidimensional change of
 variables through the quantile coupling.
 
-Every check returns an :class:`InequalityReport`, all from one builder, whose
-margin = rhs_total - lhs_variance is the audit trail: the inequalities are
-theorems, so a margin below -tolerance signals an implementation bug, never
-new mathematics.  The one pass rule, with rhs_total the discrete term plus
-the continuous contributions:
+Every inequality check returns an :class:`InequalityReport`, all from one
+builder, whose margin = rhs_total - lhs_variance is the audit trail: the
+inequalities are theorems, so a margin below -tolerance signals an
+implementation bug, never new mathematics.  The one pass rule, with
+rhs_total the discrete term plus the continuous contributions:
 
     error_estimate = hypot(SE of lhs_variance, SE of rhs_total),
     tolerance = 3 * error_estimate + floor * (1 + rhs_total),
     passed = margin >= -tolerance.
 
-Quadrature reports evaluate f and its partials on the cube x tensor
-Gauss-Hermite grid (n_cont <= ``MAX_QUAD_CONT``): no sampling error, floor
-1e-6.  Monte Carlo reports evaluate them at ``MIN_MC_SAMPLES`` or more sampled
-points: floor 0, the standard error of the sample variance and delta-method
-errors of the phi-weighted terms.  phi and its derivative come from their
-closed forms in :mod:`fppvar.phi`.
+Quadrature reports evaluate f and its partials, each through ``_values``, on
+the cube x tensor Gauss-Hermite grid (n_cont <= ``MAX_QUAD_CONT``): no
+sampling error, floor 1e-6.  Monte Carlo reports evaluate them the same way
+at ``MIN_MC_SAMPLES`` or more sampled points: floor 0, the standard error of
+the sample variance and delta-method errors of the phi-weighted terms.  The
+tensorisation check Var(g) <= sum_q ||grad_q g||^2 enumerates the cube for a
+g of bits alone: no continuous terms, no error, floor 1e-12.  phi and its
+derivative come from their closed forms in :mod:`fppvar.phi`.
 """
 
 from __future__ import annotations
@@ -250,7 +252,7 @@ def _mc_report(tf: TestFunction, samples: int, seed: int) -> InequalityReport:
     x = rng.integers(0, 2, size=(samples, tf.n_bits)).astype(float)
     y = rng.standard_normal((samples, tf.n_cont))
     vals = _values(tf.fn, x, y)
-    return _mc_inequality(samples, vals, [dfun(x, y) for dfun in tf.partials],
+    return _mc_inequality(samples, vals, [_values(dfun, x, y) for dfun in tf.partials],
                           _discrete_gradient_sum(tf, x, y, vals), 1.0, 1.0)
 
 
@@ -290,23 +292,15 @@ def verify_variance_split(tf: TestFunction, rule: QuadratureRule) -> VarianceSpl
     return VarianceSplitReport(lhs=total, rhs=rhs, discrepancy=abs(total - rhs))
 
 
-@dataclass(frozen=True)
-class TensorisationReport:
-    variance: float
-    gradient_sum: float
-    holds: bool
-
-
 def verify_tensorisation(g: Callable[[np.ndarray], np.ndarray],
-                         n_bits: int) -> TensorisationReport:
+                         n_bits: int) -> InequalityReport:
     """Exhaustively check Var(g) <= sum_q ||grad_q g||^2 on the cube."""
     if n_bits > 20:
         raise ValueError("exhaustive enumeration is limited to 20 bits")
     vals = np.asarray(g(cube(n_bits)), dtype=float)
     var = float(np.mean(vals ** 2) - np.mean(vals) ** 2)
     total = sum((float(np.mean((0.5 * flip(vals, q)) ** 2)) for q in range(n_bits)), 0.0)
-    return TensorisationReport(variance=var, gradient_sum=total,
-                               holds=var <= total + 1e-12)
+    return _report(var, 0.0, total, 0.0, [], "exhaustive", 1e-12)
 
 
 def c_k(k: int) -> float:

@@ -386,6 +386,14 @@ class TestConfigAndUsage:
             code, _, err = run(capsys, "--config", str(cfg), "phi", "--u", "0.5")
             assert code == 2, text
 
+    def test_repeated_config_key(self, capsys, tmp_path):
+        # Refused like a repeated distribution key, spacing aside, instead
+        # of running with the last value.
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("seed=1\nu=0.5\n seed = 2\n")
+        code, out, err = run(capsys, "--config", str(cfg), "phi")
+        assert (code, out, err) == (2, "", "error: repeated config key 'seed'\n")
+
     def test_seed_range(self, capsys, tmp_path):
         code, _, _ = run(capsys, "fpp", "run", "--n", "3", "--seed", "-1")
         assert code == 2

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fppvar import cube_averaging as ca
+from fppvar.cli import dispatch
 
 
 class TestRank:
@@ -151,9 +152,36 @@ class TestAveragingFunction:
         assert hashlib.sha256(reps.encode()).hexdigest() == (
             "a18f9c7a6efb4b848bc195a7adca351900d24f7020c7dc362baba4098fc7be1f")
 
-    def test_exhaustive_guard(self):
-        with pytest.raises(ValueError):
-            ca.verify_averaging_properties(5)
+    @pytest.mark.parametrize("m", range(5, 33))
+    def test_matches_binomial_oracle_up_to_m32(self, m):
+        # independent route: the levels by hand from the cut points, each
+        # weight class's mass by its binomial count
+        n = m * m
+        levels = [sum(1 for b in ca.weight_boundaries(m) if b <= w) for w in range(n + 1)]
+        counts = [0] * (m + 1)
+        for w, level in enumerate(levels):
+            counts[level] += comb(n, w)
+        top = max(counts) / (1 << n)
+        rep = ca.verify_averaging_properties(m)
+        assert rep.gradient_ok is all(abs(b - a) <= 1 for a, b in zip(levels, levels[1:]))
+        assert rep.max_level_prob == top
+        assert rep.c1_value == ca.c1_constant(m)
+        assert rep.level_bound_ok is (top <= 2.0 * rep.c1_value / m)
+        assert rep.gradient_ok and rep.level_bound_ok
+
+    def test_refuses_m33(self, capsys):
+        with pytest.raises(ValueError, match="m <= 32"):
+            ca.verify_averaging_properties(33)
+        assert dispatch(["averaging", "--m", "33", "--verify"]) == 2
+        assert capsys.readouterr() == ("", "error: the averaging check is limited to m <= 32\n")
+
+    def test_g_m_checks_length_before_the_table(self, monkeypatch):
+        # Building the table for m = 10 000 would take hours.
+        def no_table(m):
+            raise AssertionError("the table was built")
+        monkeypatch.setattr(ca, "_levels", no_table)
+        with pytest.raises(ValueError, match="length 100000000"):
+            ca.g_m([0], 10_000)
 
     def test_nondecreasing_along_rank_order(self):
         n = 9

@@ -174,18 +174,28 @@ class TestTensorisation:
         # exhaustive oracle over 4 points: Var = 1/4, gradient sum = 1/2
         rep = P.verify_tensorisation(
             lambda x: x[..., 0] + x[..., 1] - 2 * x[..., 0] * x[..., 1], 2)
-        assert rep.variance == pytest.approx(0.25, abs=1e-12)
-        assert rep.gradient_sum == pytest.approx(0.5, abs=1e-12)
-        assert rep.holds
+        assert rep.lhs_variance == pytest.approx(0.25, abs=1e-12)
+        assert rep.discrete_term == pytest.approx(0.5, abs=1e-12)
+        assert rep.passed
 
     def test_single_coordinate_equality(self):
         rep = P.verify_tensorisation(lambda x: x[..., 0], 1)
-        assert rep.variance == pytest.approx(rep.gradient_sum, abs=1e-12)
+        assert rep.lhs_variance == pytest.approx(rep.discrete_term, abs=1e-12)
 
     def test_constant(self):
         rep = P.verify_tensorisation(lambda x: np.zeros(x.shape[:-1]), 3)
-        assert rep.variance == 0.0
-        assert rep.holds
+        assert rep.lhs_variance == 0.0
+        assert rep.passed
+
+    def test_one_builder(self):
+        # the module's pass rule, exact: no continuous terms, no error, floor 1e-12
+        rep = P.verify_tensorisation(lambda x: x @ np.arange(1.0, 5.0), 4)
+        TestOneReportBuilder.check_rule(rep)
+        assert isinstance(rep, P.InequalityReport)
+        assert (rep.method, rep.continuous_terms, rep.error_estimate) == ("exhaustive", (), 0.0)
+        assert rep.tolerance == 1e-12 * (1 + rep.rhs_total)
+        # Var of sum_q c_q x_q is sum_q c_q^2 / 4 = 7.5, the gradient sum too
+        assert rep.lhs_variance == rep.rhs_total == 7.5
 
     def test_size_guard(self):
         with pytest.raises(ValueError):
