@@ -193,11 +193,12 @@ def _half_normal_ppf(p):
                     -special.ndtri((1.0 - np.maximum(p, 0.5)) / 2.0))
 
 
-# x * x overflows to inf far out, where both kernels reach their limits.
-_far_out = np.errstate(over="ignore")
 _HALF_NORMAL = _law(math.inf, 1 - 2.0 / np.pi, _half_normal_ppf,
-                    _far_out(lambda x: np.sqrt(2.0 / np.pi) * np.exp(-x * x / 2.0)),
-                    _far_out(lambda x: 0.5 * np.log(2.0 / np.pi) - x * x / 2.0),
+                    # x * x overflows to inf far out, where both kernels reach their limits.
+                    np.errstate(over="ignore")(
+                        lambda x: np.sqrt(2.0 / np.pi) * np.exp(-x * x / 2.0)),
+                    np.errstate(over="ignore")(
+                        lambda x: 0.5 * np.log(2.0 / np.pi) - x * x / 2.0),
                     lambda x: special.erf(x / np.sqrt(2)), lambda x: 2 * special.ndtr(-x))
 
 
