@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from typing import Optional
 
@@ -210,10 +211,15 @@ def _cmd_fpp_run(ns) -> int:
 
 
 def _cmd_fpp_response(ns) -> int:
+    if not (math.isfinite(ns.y_max) and ns.y_max > 0.0):
+        raise CliError("--y-max must be finite and positive")
+    if ns.grid_points < 2:
+        raise CliError("--grid-points must be at least 2")
     field, target = _default_field(ns)
     grid = np.linspace(0.0, ns.y_max, ns.grid_points)
     curve = fpp.single_edge_response(field, target, ns.edge, grid)
-    lines = ["y,distance"] + [f"{y!r},{d!r}" for y, d in zip(curve.ys, curve.distances)]
+    lines = ["y,distance"] + [f"{y!r},{d!r}" for y, d in zip(curve.ys.tolist(),
+                                                             curve.distances.tolist())]
     _emit("\n".join(lines) + "\n", ns.out)
     return 0
 

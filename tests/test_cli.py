@@ -6,6 +6,7 @@ import pathlib
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import pytest
 
@@ -244,21 +245,41 @@ class TestFpp:
         lines = out.strip().split("\n")
         assert lines[0] == "y,distance"
         assert len(lines) == 12
+        rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
+        assert [y for y, _ in rows] == [float(k) for k in range(11)]
+        assert all(d > 0 for _, d in rows)
+
+    @pytest.mark.parametrize("args, msg", [
+        (("--y-max", "inf"), "--y-max must be finite and positive"),
+        (("--y-max", "nan"), "--y-max must be finite and positive"),
+        (("--y-max", "0"), "--y-max must be finite and positive"),
+        (("--y-max", "-1"), "--y-max must be finite and positive"),
+        (("--grid-points", "1"), "--grid-points must be at least 2"),
+    ])
+    def test_response_grid_refused(self, capsys, args, msg):
+        # Refused before the grid is built, so numpy warns of nothing.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "fpp", "response", "--n", "8", "--seed", "3",
+                                 "--edge", "40", *args)
+        assert (code, out, err) == (2, "", f"error: {msg}\n")
 
     @pytest.mark.parametrize("args, digest", [
         (("--n", "8", "--seed", "1", "--edge", "610"),
-         "19a0447a0b313e3d95da33ed0d701fd8482bc9b5a1734c7d736ea518bd8f94f8"),
+         "d59486d5afacd900fda29cc83ba37a0385828b5b47e100fc7e8186bb1d5a5e60"),
         (("--n", "8", "--seed", "1", "--edge", "0"),
-         "e554906caf3a062588b18c762ffd328d416c3b0a8b26a2c497811ae86242867c"),
+         "57d4a9be1c7d6e5919c11cafec39e832e64ccb1046d12d595955777a3a13580a"),
         (("--n", "8", "--seed", "1", "--edge", "610", "--y-max", "0.2", "--grid-points", "11"),
-         "4a93a84c13f277eda694fa0c5a942ea014d051cb0619b3cd507613fac2d8314a"),
+         "ecc5b24d826ea44989c17f2f87e78a61d75faecce2c00280d49a64e4e969aa3f"),
         (("--n", "8", "--seed", "1", "--edge", "610", "--grid-points", "2"),
-         "e6c189d2cba12ba5dc50db8cb284ad2f8bbd4daf7570fb15ecf789c0afd05eed"),
+         "cb71a5de43b2edaf599925e91204b166d793e9edca3c506b59253dc376f66cdc"),
         (("--d", "3", "--n", "4", "--dist", "gamma:shape=2", "--seed", "7", "--edge", "19057"),
-         "770b0eb0d12c4fcacfd4befb874e26d207762e8671cd8f0b5b3c23d36f15ef0b"),
+         "622892abf7dc3293139ac2de50b5dc7aa367f7632f3ea5508233fe679de81183"),
     ], ids=["on-geodesic", "off-geodesic", "below-breakpoint", "two-points", "gamma-d3"])
     def test_response_csv_golden(self, capsys, args, digest):
-        # Digests recorded with one full solve per grid point; edge 610 of the
+        # Digests recorded with one full solve per grid point, then re-recorded
+        # when the rows became Python float reprs (the same bytes as before
+        # with numpy's ``np.float64(...)`` wrappers stripped); edge 610 of the
         # seed-1 field and edge 19057 of the d=3 field lie on the geodesic.
         code, out, _ = run(capsys, "fpp", "response", *args)
         assert code == 0

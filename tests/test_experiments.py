@@ -100,16 +100,64 @@ class TestEstimateVariance:
         rows = [ex.estimate_variance(DIST, 2, 8, 200, seed=5) for _ in range(2)]
         assert len(timings) == 2 and rows[0] == rows[1]
 
-    def test_pool_size(self, monkeypatch):
-        # A pool gets no more processes than the row has chunks of 64.
+    def test_one_pool_per_sweep(self, monkeypatch):
+        # A sweep opens one pool for every chunk of 64 of every row, of no
+        # more processes than those chunks: 3 rows of 2 chunks on 8 workers
+        # give one pool of 6.  A single row gets at most its own chunks.
         sizes = []
         pool = ex.mp.Pool
         monkeypatch.setattr(ex, "mp", SimpleNamespace(
             Pool=lambda processes: sizes.append(processes) or pool(processes)))
-        got = [ex._replicate_values(DIST, 2, 4, samples, 1, workers)
-               for samples, workers in ((100, 8), (300, 2), (200, 3))]
-        assert sizes == [2, 2, 3]
-        assert np.array_equal(got[0], ex._replicate_values(DIST, 2, 4, 100, 1, 1))
+        swept = ex.sweep(DIST, 2, [4, 6, 8], 100, 1, workers=8)
+        assert sizes == [6]
+        rows = [ex.estimate_variance(DIST, 2, 4, samples, 1, workers)
+                for samples, workers in ((100, 8), (300, 2), (200, 3))]
+        assert sizes == [6, 2, 2, 3]
+        assert swept.rows[0] == rows[0]
+        assert swept == ex.sweep(DIST, 2, [4, 6, 8], 100, 1, workers=1)
+
+    def test_largest_rows_first(self, monkeypatch):
+        # The pool meets the chunks of the largest row first, each row's in
+        # replicate order, so a process sets each row up at most once; a
+        # serial sweep sets each row up once.
+        tasks = []
+
+        class Pool:
+            def __init__(self, processes):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=None):
+                tasks.extend(items)
+                return list(map(fn, items))
+
+        tables = []
+        lower_table = ex._lower_table
+        monkeypatch.setattr(ex, "_lower_table", lambda dist: tables.append(dist) or lower_table(dist))
+        serial = ex.sweep(DIST, 2, [4, 6, 8], 150, 1, workers=1)
+        assert len(tables) == 3
+        monkeypatch.setattr(ex, "mp", SimpleNamespace(Pool=Pool))
+        assert ex.sweep(DIST, 2, [4, 6, 8], 150, 1, workers=2) == serial
+        ns = [row[2] for row, _ in tasks]
+        assert ns == sorted(ns, reverse=True) and sorted(set(ns)) == [4, 6, 8]
+        for n in (4, 6, 8):
+            assert [r for row, chunk in tasks if row[2] == n for r in chunk] == list(range(150))
+        assert len(tables) == 6
+
+    def test_sweep_checks_every_row_before_any_runs(self, monkeypatch):
+        def no_run(*args):
+            raise AssertionError("a row ran")
+
+        monkeypatch.setattr(ex, "_replicate_values", no_run)
+        monkeypatch.setattr(ex, "estimate_variance", no_run)
+        for ns, samples, workers in (([1, 8], 200, 1), ([8, 16], 50, 1), ([8, 16], 200, 0)):
+            with pytest.raises(ValueError):
+                ex.sweep(DIST, 2, ns, samples, 0, workers=workers)
 
     def test_solver_loads_before_the_pool_forks(self):
         # Forked workers inherit the graph solver, and no worker's set-up
@@ -190,8 +238,9 @@ class TestSweep:
             w = sample(dist, np.random.SeedSequence((seed, n, r)), grid.edge_count)
             field = fpp.WeightField(grid=grid, weights=w)
             want.append(fpp.distances_from(field, (0, 0))[grid.vertex_index((n, 0))])
-        got = ex._replicate_values(dist, 2, n, samples, seed, workers)
-        assert np.array_equal(got, np.array(want))
+        got = ex._replicate_values(dist, 2, [3, n], samples, seed, workers)
+        assert np.array_equal(got[1], np.array(want))
+        assert len(got) == 2 and got[0].shape == (samples,)
 
     def test_subadditivity_of_means(self):
         # mean/n is nonincreasing along doubling n, up to Monte Carlo noise
@@ -490,6 +539,24 @@ class TestPrunedReplicate:
         want = dijkstra(upper, directed=False, indices=s)[t]
         assert want == 1.0 + 2.0 ** -52
         assert row.value(0).hex() == want.hex()
+
+    def test_stops_at_the_bound_path(self, force_pruned, monkeypatch):
+        # A replicate whose kept edges are its bound path returns the path's
+        # fold after two solves; the others solve a third time.  Both occur,
+        # and every value is the full field's.
+        dist, n, seed, replicates = parse_distribution("gamma:shape=2"), 32, 1, 200
+        row = _set_up(dist, 2, n, seed)
+        solves = []
+        solve = fpp._solve
+        monkeypatch.setattr(fpp, "_solve", lambda *a, **k: solves.append(1) or solve(*a, **k))
+        counts = []
+        for r in range(replicates):
+            before = len(solves)
+            row.value(r)
+            counts.append(len(solves) - before)
+        monkeypatch.setattr(fpp, "_solve", solve)
+        assert set(counts) == {2, 3}
+        check_replicates("pruned", dist, 2, n, seed, replicates, workers=2)
 
     def test_bad_exact_weights_fail_loudly(self):
         lower = np.zeros(4)
