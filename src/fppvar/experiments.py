@@ -252,14 +252,16 @@ def _replicate_values(dist: EdgeDistribution, d: int, ns: list[int], samples: in
     # Forked workers inherit the solver, and no set-up timing includes its import.
     fpp._solver()
     if workers <= 1:
-        parts = list(map(_run_chunk, tasks))
+        parts = map(_run_chunk, tasks)
     else:
         with mp.Pool(min(workers, len(tasks))) as pool:
             parts = pool.map(_run_chunk, tasks, chunksize=1)
+    # Each chunk's values become an array at once: a serial sweep then holds
+    # 8 bytes a value, not a Python float.
     rows = {n: [] for n in ns}
     for (row, _), part in zip(tasks, parts):
-        rows[row[2]] += part
-    return [np.asarray(rows[n]) for n in ns]
+        rows[row[2]].append(np.asarray(part))
+    return [np.concatenate(rows[n]) for n in ns]
 
 
 def _jackknife_se_of_var(vals: np.ndarray) -> float:

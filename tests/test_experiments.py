@@ -230,17 +230,19 @@ class TestSweep:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_samples_the_exact_law(self, workers):
         # the name rounds the rate to 1.23457; replicates must use the law itself
+        # and each row's values come back in replicate order.
         dist = exponential(1.23456789)
-        n, samples, seed = 4, 100, 11
-        grid = ex.box_for_target(2, n)
+        ns, samples, seed = [3, 4], 100, 11
         want = []
-        for r in range(samples):
-            w = sample(dist, np.random.SeedSequence((seed, n, r)), grid.edge_count)
-            field = fpp.WeightField(grid=grid, weights=w)
-            want.append(fpp.distances_from(field, (0, 0))[grid.vertex_index((n, 0))])
-        got = ex._replicate_values(dist, 2, [3, n], samples, seed, workers)
-        assert np.array_equal(got[1], np.array(want))
-        assert len(got) == 2 and got[0].shape == (samples,)
+        for n in ns:
+            grid = ex.box_for_target(2, n)
+            want.append([])
+            for r in range(samples):
+                w = sample(dist, np.random.SeedSequence((seed, n, r)), grid.edge_count)
+                field = fpp.WeightField(grid=grid, weights=w)
+                want[-1].append(fpp.distances_from(field, (0, 0))[grid.vertex_index((n, 0))])
+        got = ex._replicate_values(dist, 2, ns, samples, seed, workers)
+        assert len(got) == 2 and all(np.array_equal(g, np.array(v)) for g, v in zip(got, want))
 
     def test_subadditivity_of_means(self):
         # mean/n is nonincreasing along doubling n, up to Monte Carlo noise
