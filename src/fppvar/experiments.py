@@ -51,8 +51,8 @@ n=16 and three quarters at n >= 32; in d=3 a few percent.
 A sweep splits every row into chunks of 64 replicates and runs them all,
 serially or in one pool of at most as many processes as chunks, rows in
 decreasing n: a replicate costs more the larger the box, so the chunks that
-finish last are the cheapest, and no process idles for more than one small
-chunk at the end.  The values are regrouped by row in replicate order.
+finish last are the cheapest, and a process idles at the end for at most
+about one of them.  The values are regrouped by row in replicate order.
 A process sets a row up (``_row``, one ``_Row`` kept until the next row
 replaces it) on the first chunk of that row it runs (``_run_chunk``), so a
 set-up error is that chunk's error.  ``pool.map`` hands the chunks out in
