@@ -4,15 +4,15 @@ Estimates Var(f_v) for v = n*e1 over a sweep of n and reports the derived
 columns var/n and var*log(n)/n.  The prediction under test is sublinearity:
 var/n should fall as n grows while var*log(n)/n stays of one order.
 
-Reproducibility contract: replicate r of row n draws its weight field from
-``SeedSequence((master_seed, n, r))``, and aggregation runs over the replicate
-values ordered by index, so serial and multi-worker runs produce identical
-bytes in the CSV.
+Reproducibility contract: replicate r of row n has the field Q(u) on both
+paths, with Q the law's quantile and u = ``_Row.levels(r)`` the levels from
+``SeedSequence((master_seed, n, r))``; aggregation runs over the values in
+replicate order, so serial and multi-worker runs give identical CSV bytes.
 
 Pruned replicate.  For most gamma, chi2 and beta laws, scipy's quantile
 costs several solves of the box per field, yet only about 1 % of the edges
-can lie on a near-optimal path.  Such a row draws the same levels u as
-``sample`` and computes exact quantiles Q(u) only where they can matter:
+can lie on a near-optimal path.  Such a row computes the exact quantiles
+Q(u) of the levels only where they can matter:
 
 1. L_e = tab[floor(u_e K)] with tab[k] = Q(k/K), K = TABLE_SIZE a power of
    two (so the floor is exact); L_e <= Q(u_e) by monotonicity alone.
@@ -35,11 +35,11 @@ can lie on a near-optimal path.  Such a row draws the same levels u as
 The value is bit-identical to the full field's by facts 1 and 2 in the
 ``fpp`` module docstring: L bounds the exact weights from below, and T_ub
 is a fold of exact weights along a path from the source.  Exact weights
-are checked finite and at least L (so nonnegative), as ``WeightField``
-checks a full field.
+are checked finite and at least L (so nonnegative) by ``fpp._checked``, the
+rule ``WeightField`` applies to a full field.
 
-Bounded plain replicate.  A row on the plain path draws the full field with
-``sample`` and validates it as ``WeightField`` does, then solves it as every
+Bounded plain replicate.  A row on the plain path takes the full field Q(u),
+checks it by the same ``fpp._checked``, then solves it as every
 point-to-point query in ``fpp`` does (``fpp._bounded_solve``): first the
 strip [0, n] x [-fpp.SUB_PAD, fpp.SUB_PAD]^(d-1), whose label X at the
 target is at least T; then the box with a limit of X plus a tie margin.  The
@@ -76,7 +76,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fpp
-from .edge_distributions import _U_HI, EdgeDistribution, _uniforms, sample
+from .edge_distributions import _U_HI, EdgeDistribution, _uniforms
 
 CSV_HEADER = "n,samples,mean,var,se_var,mean_over_n,var_over_n,var_logn_over_n,seed"
 
@@ -191,20 +191,10 @@ def _row(dist: EdgeDistribution, d: int, n: int, seed: int) -> _Row:
                 dst=grid.vertex_index((n,) + (0,) * (d - 1)), tab=tab)
 
 
-def _exact(dist: EdgeDistribution, u: np.ndarray, lower: np.ndarray,
-           edges: np.ndarray) -> np.ndarray:
-    """Exact weights of the given edges, checked finite and >= their lower
-    bounds (so nonnegative), as WeightField checks a full field."""
-    q = dist._quantile(u[edges])
-    if not (np.isfinite(q).all() and np.all(q >= lower[edges])):
-        raise ValueError("weights must be finite and nonnegative")
-    return q
-
-
 @dataclass(frozen=True)
 class _Row:
     """One sweep row as a process runs it, from the origin ``src`` to n*e1
-    ``dst`` (vertex indices); ``tab`` is None on the plain path."""
+    ``dst``; replicate r is ``solve(levels(r))``, plain when ``tab`` is None."""
     dist: EdgeDistribution
     grid: fpp.GridSpec
     n: int
@@ -213,32 +203,33 @@ class _Row:
     dst: int
     tab: np.ndarray | None
 
-    def value(self, r: int) -> float:
-        """The passage time of replicate r, equal on both paths to the full
+    def levels(self, r: int) -> np.ndarray:
+        """The levels u of replicate r: its field is Q(u) on both paths."""
+        return _uniforms(np.random.SeedSequence((self.seed, self.n, r)), self.grid.edge_count)
+
+    def solve(self, u: np.ndarray) -> float:
+        """The passage time of the field Q(u), equal on both paths to the full
         field's (module docstring)."""
-        ss = np.random.SeedSequence((self.seed, self.n, r))
-        grid, src, dst = self.grid, self.src, self.dst
+        grid, src, dst, quantile = self.grid, self.src, self.dst, self.dist._quantile
         if self.tab is None:
-            field = fpp.WeightField(grid=grid, weights=sample(self.dist, ss, grid.edge_count))
-            return float(fpp._bounded_solve(grid, field.weights, src, dst)[dst])
-        u = _uniforms(ss, grid.edge_count)
+            return float(fpp._bounded_solve(grid, fpp._checked(quantile(u)), src, dst)[dst])
         lower = self.tab[(u * TABLE_SIZE).astype(np.intp)]
         d0, pred = fpp._solve(grid, lower, src, return_predecessors=True)
         path = fpp._tree_path(grid, pred, src, dst)[1]
-        t_ub = float(np.add.accumulate(_exact(self.dist, u, lower, path))[-1])
+        t_ub = float(np.add.accumulate(fpp._checked(quantile(u[path]), lower[path]))[-1])
         weights = fpp._prune(grid, d0, dst, lower, t_ub)
         keep = np.flatnonzero(weights != np.inf)
         if np.array_equal(keep, np.sort(path)):
             return t_ub
-        weights[keep] = _exact(self.dist, u, lower, keep)
+        weights[keep] = fpp._checked(quantile(u[keep]), lower[keep])
         return float(fpp._solve(grid, weights, src, limit=t_ub)[dst])
 
 
 def _run_chunk(task) -> list[float]:
     """Replicate values of one chunk, ``task`` = ((dist, d, n, seed),
     indices); a process's first chunk of a row sets the row up."""
-    row, indices = task
-    return list(map(_row(*row).value, indices))
+    row = _row(*task[0])
+    return [row.solve(row.levels(r)) for r in task[1]]
 
 
 def _replicate_values(dist: EdgeDistribution, d: int, ns: list[int], samples: int,
@@ -314,6 +305,8 @@ def sweep(dist: EdgeDistribution, d: int, n_list, samples: int, seed: int,
         raise ValueError("degenerate edge distribution")
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError("seed must be a nonnegative integer")
     values = _replicate_values(dist, d, ns, samples, seed, workers)
     return SweepResult(rows=tuple(_estimate(n, seed, v) for n, v in zip(ns, values)))
 

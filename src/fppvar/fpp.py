@@ -285,6 +285,15 @@ SeedTag = Union[int, tuple[Union[int, tuple[int, ...]], tuple[int, ...]]]
 _DEFAULT_POOL_SIZE = np.random.SeedSequence(0).pool_size
 
 
+def _checked(weights: np.ndarray, lower=0.0) -> np.ndarray:
+    """The weights, refused unless each is finite and at least its lower
+    bound: ``lower`` per weight, or 0 for a full field."""
+    # The comparison is False at NaN, and max() is inf when any weight is.
+    if not ((weights >= lower).all() and np.isfinite(weights.max())):
+        raise ValueError("weights must be finite and nonnegative")
+    return weights
+
+
 @dataclass
 class WeightField:
     """Edge weights on a grid, with sampling provenance when drawn from a law."""
@@ -296,9 +305,7 @@ class WeightField:
         self.weights = np.asarray(self.weights, dtype=float)
         if self.weights.shape != (self.grid.edge_count,):
             raise ValueError("weight array length must equal the edge count")
-        # min() is NaN when any weight is, and fails the comparison.
-        if not (self.weights.min() >= 0.0 and np.isfinite(self.weights.max())):
-            raise ValueError("weights must be finite and nonnegative")
+        _checked(self.weights)
         # Read-only after validation; a view, so the caller's array stays writable.
         self.weights = self.weights.view()
         self.weights.flags.writeable = False

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import multiprocessing as mp
@@ -158,6 +159,19 @@ class TestEstimateVariance:
         for ns, samples, workers in (([1, 8], 200, 1), ([8, 16], 50, 1), ([8, 16], 200, 0)):
             with pytest.raises(ValueError):
                 ex.sweep(DIST, 2, ns, samples, 0, workers=workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_bad_seed_refused_before_any_row_set_up(self, monkeypatch, seed, workers):
+        # numpy's SeedSequence refuses the first two only in the first
+        # replicate, after the set-up, and takes True as 1, which the CSV
+        # would record as True.
+        def no_set_up(dist):
+            raise AssertionError("a row was set up")
+
+        monkeypatch.setattr(ex, "_lower_table", no_set_up)
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            ex.sweep(DIST, 2, [4], 100, seed=seed, workers=workers)
 
     def test_solver_loads_before_the_pool_forks(self):
         # Forked workers inherit the graph solver, and no worker's set-up
@@ -375,7 +389,7 @@ def _replicate_ok(path, dist, d, n, seed, r) -> bool:
         u = _uniforms(np.random.SeedSequence((seed, n, r)), grid.edge_count)
         took = (tab is not None
                 and bool(np.all(tab[np.floor(u * ex.TABLE_SIZE).astype(int)] <= field.weights)))
-    return took and row.value(r).hex() == want.hex()
+    return took and row.solve(row.levels(r)).hex() == want.hex()
 
 
 def check_replicates(path, dist, d, n, seed, replicates, workers=1):
@@ -420,7 +434,7 @@ class TestPlainReplicate:
     def test_strip_edges_are_the_box_edges(self, force_plain, d, n):
         # A plain row's first replicate leaves the strip in the box's query memo.
         row = _set_up(DIST, d, n, 0)
-        row.value(0)
+        row.solve(row.levels(0))
         strip, edges = _strip_edges(_box(d, n), n)
         grid = row.grid
         shapes, pairs = grid._sub_memo
@@ -432,32 +446,32 @@ class TestPlainReplicate:
         assert got_src == strip.vertex_index((0,) * d)
         assert got_dst == strip.vertex_index((n,) + (0,) * (d - 1))
 
-    def test_geodesic_off_the_strip(self, force_plain, monkeypatch):
-        # Strip edges cost 10 more than a cheap field around them, so the
-        # geodesic leaves the strip and the strip's label X exceeds T.
+    def test_geodesic_off_the_strip(self, force_plain):
+        # Strip edges cost about 11.5 against 0.36-1.2 for the field around
+        # them, so the geodesic leaves the strip and the strip's label X
+        # exceeds T.
         n = 8
         grid = _box(2, n)
         strip, edges = _strip_edges(grid, n)
-        weights = np.random.default_rng(5).uniform(0.5, 1.5, grid.edge_count)
-        weights[edges] += 10.0
-        monkeypatch.setattr(ex, "sample", lambda dist, ss, count: weights.copy())
+        u = np.random.default_rng(5).uniform(0.3, 0.7, grid.edge_count)
+        u[edges] = 1.0 - 1e-5
+        weights = DIST._quantile(u)
         row = _set_up(DIST, 2, n, 0)
         want = float(fpp.distances_from(fpp.WeightField(grid=grid, weights=weights),
                                         (0, 0))[grid.vertex_index((n, 0))])
         cap = fpp.distances_from(fpp.WeightField(grid=strip, weights=weights[edges]),
                                  (0, 0))[strip.vertex_index((n, 0))]
         assert cap > want
-        assert row.value(0).hex() == want.hex()
+        assert row.solve(u).hex() == want.hex()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
-    def test_bad_weights_fail_loudly(self, force_plain, monkeypatch, bad):
-        grid = _box(2, 4)
-        weights = np.ones(grid.edge_count)
+    def test_bad_weights_fail_loudly(self, force_plain, bad):
+        # A law whose quantile is the identity hands ``solve`` its weights.
+        row = dataclasses.replace(_set_up(DIST, 2, 4, 0), dist=_Law(_quantile=lambda u: u))
+        weights = np.ones(row.grid.edge_count)
         weights[-1] = bad
-        monkeypatch.setattr(ex, "sample", lambda dist, ss, count: weights.copy())
-        row = _set_up(DIST, 2, 4, 0)
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            row.value(0)
+            row.solve(weights)
 
 
 class TestPrunedReplicate:
@@ -517,10 +531,10 @@ class TestPrunedReplicate:
             row = _set_up(half_normal(), 2, 4, 0)
             with monkeypatch.context() as patch:
                 patch.setattr(np.random, "default_rng", lambda seed: fake)
-                values.append(row.value(0))
+                values.append(row.solve(row.levels(0)))
         assert values[0] == values[1] == 4 * half_normal()._quantile(np.array([_U_HI]))[0]
 
-    def test_bound_folds_from_the_source(self, monkeypatch):
+    def test_bound_folds_from_the_source(self):
         # The straight path from s to t = 3 e1 has the weights 2^-53, 2^-53
         # and 1 from s, and every other edge costs 10.  Folded from s they
         # give fl(2^-52 + 1) = 1 + 2^-52 = T; folded from t, 1.0 < T, which
@@ -532,7 +546,6 @@ class TestPrunedReplicate:
         tab[:2] = 2.0 ** -53, 1.0
         level = np.full(grid.edge_count, 2)
         level[[grid.edge_index((x, 0), 0) for x in range(3)]] = 0, 0, 1
-        monkeypatch.setattr(ex, "_uniforms", lambda ss, count: level / ex.TABLE_SIZE)
         law = SimpleNamespace(_quantile=lambda p: tab[(p * ex.TABLE_SIZE).astype(int)])
         s, t = grid.vertex_index((0, 0)), grid.vertex_index((3, 0))
         row = ex._Row(dist=law, grid=grid, n=3, seed=0, src=s, dst=t, tab=tab)
@@ -540,7 +553,7 @@ class TestPrunedReplicate:
                            shape=(grid.vertex_count,) * 2)
         want = dijkstra(upper, directed=False, indices=s)[t]
         assert want == 1.0 + 2.0 ** -52
-        assert row.value(0).hex() == want.hex()
+        assert row.solve(level / ex.TABLE_SIZE).hex() == want.hex()
 
     def test_stops_at_the_bound_path(self, force_pruned, monkeypatch):
         # A replicate whose kept edges are its bound path returns the path's
@@ -554,18 +567,33 @@ class TestPrunedReplicate:
         counts = []
         for r in range(replicates):
             before = len(solves)
-            row.value(r)
+            row.solve(row.levels(r))
             counts.append(len(solves) - before)
         monkeypatch.setattr(fpp, "_solve", solve)
         assert set(counts) == {2, 3}
         check_replicates("pruned", dist, 2, n, seed, replicates, workers=2)
 
     def test_bad_exact_weights_fail_loudly(self):
-        lower = np.zeros(4)
-        for bad in (np.nan, np.inf, -1.0):
-            dist = SimpleNamespace(_quantile=lambda p, bad=bad: np.full(p.shape, bad))
+        # Levels 0 and 1 have the lower bound 1, level 2 the bound 10, and
+        # the exact weights (a, b, 10).  The straight path from s to t = 3 e1
+        # takes level 0 and the detour through y = 1 level 1.  The straight
+        # path is the bound path; with a = 2 it folds to 6, so the detour,
+        # 5 long under the bounds, is kept too.  A bad a fails the bound
+        # path's check, a bad b the kept edges'; 0.5 is below its bound.
+        grid = fpp.GridSpec(lo=(0, -1), hi=(3, 1))
+        tab = np.full(ex.TABLE_SIZE, 10.0)
+        tab[:2] = 1.0
+        level = np.full(grid.edge_count, 2)
+        level[[grid.edge_index((x, 0), 0) for x in range(3)]] = 0
+        level[[grid.edge_index((x, 1), 0) for x in range(3)]] = 1
+        level[[grid.edge_index((x, 0), 1) for x in (0, 3)]] = 1
+        s, t = grid.vertex_index((0, 0)), grid.vertex_index((3, 0))
+        bads = (np.nan, np.inf, -1.0, 0.5)
+        for exact in [*([bad, 2.0, 10.0] for bad in bads), *([2.0, bad, 10.0] for bad in bads)]:
+            law = _Law(_quantile=lambda p, q=np.array(exact): q[(p * ex.TABLE_SIZE).astype(int)])
+            row = ex._Row(dist=law, grid=grid, n=3, seed=0, src=s, dst=t, tab=tab)
             with pytest.raises(ValueError, match="finite and nonnegative"):
-                ex._exact(dist, np.full(4, 0.5), lower, np.arange(2))
+                row.solve(level / ex.TABLE_SIZE)
 
     def test_path_choice_is_a_function_of_the_timings(self, monkeypatch):
         edges = 1000
@@ -593,3 +621,62 @@ class TestPrunedReplicate:
             monkeypatch.setattr(ex, "_pruned_pays", lambda *timings, pays=pays: pays)
             rows.append(ex.estimate_variance(dist, 2, 8, 120, seed=4, workers=2))
         assert rows[0] == rows[1]
+
+
+def _symmetry(grid):
+    """The edge permutation p of the lattice symmetry that fixes the sweep
+    box, its strip, the source and the target: x2 -> -x2 in d=2, the swap
+    of axes 1 and 2 in d=3.  Edge e of the image u[p] of levels u is the
+    image of edge p[e]."""
+    blocks = [np.arange(a, b).reshape(shape) for a, b, shape in grid._edge_blocks]
+    if grid.d == 2:
+        return np.concatenate([np.flip(block, 1).ravel() for block in blocks])
+    return np.concatenate([blocks[k].transpose(0, 2, 1).ravel() for k in (0, 2, 1)])
+
+
+def _bound_path(row, u):
+    """The sorted edges of the pruned replicate's bound path on levels u: the
+    tree path to the target under the table's lower bounds."""
+    lower = row.tab[(u * ex.TABLE_SIZE).astype(np.intp)]
+    pred = fpp._solve(row.grid, lower, row.src, return_predecessors=True)[1]
+    return np.sort(fpp._tree_path(row.grid, pred, row.src, row.dst)[1])
+
+
+class TestSymmetry:
+    """A symmetry of the box that fixes the source and the target maps each
+    path between them to one with the same weights in the same order, and a
+    label is the least left fold over paths (fact 1 in the ``fpp`` module
+    docstring).  So ``solve`` gives the image of the levels the same bits,
+    on both paths; the symmetry moves every edge index and sub-box pick."""
+
+    @pytest.mark.parametrize("path, spec", [("plain", "exp"), ("pruned", "gamma:shape=2")])
+    @pytest.mark.parametrize("d, n, replicates", [
+        (2, 8, 300), (2, 16, 300), (2, 32, 200), (3, 4, 30), (3, 8, 30)])
+    def test_image_keeps_the_bits(self, monkeypatch, path, spec, d, n, replicates):
+        monkeypatch.setattr(ex, "_pruned_pays", lambda *timings: path == "pruned")
+        row = _set_up(parse_distribution(spec), d, n, 1)
+        assert (row.tab is None) == (path == "plain")
+        p = _symmetry(row.grid)
+        levels = [row.levels(r) for r in range(replicates)]
+        assert [r for r, u in enumerate(levels) if row.solve(u[p]).hex() != row.solve(u).hex()] == []
+
+    @pytest.mark.parametrize("spec, n, replicates", [("gamma:shape=2", 16, 200), ("exp", 32, 100)])
+    def test_image_keeps_the_bits_on_tied_bounds(self, spec, n, replicates):
+        # A table of 4 levels, the quantile at k / K with k rounded down to a
+        # multiple of 1024, ties many lower bounds.  The bound path of the
+        # image then need not be the image of the bound path, while the value
+        # keeps its bits: the full field's, by fact 2.
+        dist = parse_distribution(spec)
+        grid = _box(2, n)
+        tab = dist._quantile(np.arange(ex.TABLE_SIZE) // 1024 * 1024 / ex.TABLE_SIZE)
+        row = ex._Row(dist=dist, grid=grid, n=n, seed=1, src=grid.vertex_index((0, 0)),
+                      dst=grid.vertex_index((n, 0)), tab=tab)
+        p = _symmetry(grid)
+        moved = 0
+        for r in range(replicates):
+            u = row.levels(r)
+            want = fpp.distances_from(fpp.WeightField(grid=grid, weights=dist._quantile(u)),
+                                      (0, 0))[row.dst]
+            assert row.solve(u).hex() == row.solve(u[p]).hex() == want.hex(), r
+            moved += not np.array_equal(_bound_path(row, u), np.sort(p[_bound_path(row, u[p])]))
+        assert moved > 0
