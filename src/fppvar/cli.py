@@ -56,6 +56,10 @@ def _seed_type(text: str) -> int:
     return val
 
 
+def _ns_type(text: str) -> list[int]:
+    return [int(tok) for tok in text.split(",")] if text else []
+
+
 def _emit(text: str, out_path: Optional[str]) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as handle:
@@ -143,7 +147,7 @@ def _build_parser(config: dict[str, str]) -> argparse.ArgumentParser:
     p = command(fsub, "sweep", _cmd_fpp_sweep, "variance scaling sweep (CSV)")
     opt(p, "--dist", default="exp:rate=1")
     opt(p, "--d", type=int, default=2)
-    opt(p, "--ns", default="8,16,32,64")
+    opt(p, "--ns", type=_ns_type, default="8,16,32,64")
     opt(p, "--samples", type=int, default=2000)
     opt(p, "--seed", type=_seed_type, default=0)
     opt(p, "--workers", type=int, default=1)
@@ -225,12 +229,8 @@ def _cmd_fpp_response(ns) -> int:
 
 
 def _cmd_fpp_sweep(ns) -> int:
-    try:
-        n_list = [int(tok) for tok in ns.ns.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise CliError(f"bad --ns list: {ns.ns!r}") from exc
     dist = parse_distribution(ns.dist)
-    result = experiments.sweep(dist, ns.d, n_list, ns.samples, ns.seed, workers=ns.workers)
+    result = experiments.sweep(dist, ns.d, ns.ns, ns.samples, ns.seed, workers=ns.workers)
     _emit(result.to_csv(), ns.out)
     return 0
 

@@ -322,20 +322,34 @@ def psi(dist: EdgeDistribution, y):
 # that rounds 1 + u to 2 (scipy's halfnormal ndtri((1 + u) / 2)).
 _U_LO = 2.0 ** -52
 _U_HI = 1.0 - 2.0 ** -52
+_SEED_RULE = "seed must be a nonnegative integer"
+
+
+def _at_least(value, floor: int, message: str) -> int:
+    """Every seed and count: ``value`` as an int if an integer, not a bool, >= ``floor``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < floor:
+        raise ValueError(message)
+    return int(value)
+
+
+def _rng(seed) -> np.random.Generator:
+    """The one place a seed becomes a generator: a SeedSequence, or an integer >= 0."""
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = _at_least(seed, 0, _SEED_RULE)
+    return np.random.default_rng(seed)
 
 
 def _uniforms(seed, n: int) -> np.ndarray:
     """The n levels in [2^-52, 1 - 2^-52] that :func:`sample` maps through
     the quantile; a pure function of (seed, n)."""
-    u = np.random.default_rng(seed).random(n)
+    u = _rng(seed).random(n)
     np.clip(u, _U_LO, _U_HI, out=u)
     return u
 
 
 def sample(dist: EdgeDistribution, seed, n: int) -> np.ndarray:
-    """Deterministic inverse-cdf sampling; ``seed`` may be an int or SeedSequence."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    """n inverse-cdf draws; ``seed`` a SeedSequence or an integer >= 0, ``n`` an integer >= 1."""
+    n = _at_least(n, 1, "n must be an integer >= 1")
     return dist._quantile(_uniforms(seed, n))
 
 
@@ -443,9 +457,7 @@ def check_near_gamma_direct(dist: EdgeDistribution,
     the sub-level mass over thresholds in [1e-4, 1e-1]; when psi never drops
     below the threshold range the sub-level condition holds vacuously.
     """
-    if quantile_grid_size < 100:
-        raise ValueError("quantile grid must have at least 100 points")
-    m = int(quantile_grid_size)
+    m = _at_least(quantile_grid_size, 100, "quantile grid size must be an integer >= 100")
     a1, _, _ = _direct_stats(dist, m)
     a2, slope, resolved = _direct_stats(dist, 2 * m)
 

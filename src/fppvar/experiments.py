@@ -76,7 +76,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fpp
-from .edge_distributions import _U_HI, EdgeDistribution, _uniforms
+from .edge_distributions import _SEED_RULE, _U_HI, EdgeDistribution, _at_least, _rng, _uniforms
 
 CSV_HEADER = "n,samples,mean,var,se_var,mean_over_n,var_over_n,var_logn_over_n,seed"
 
@@ -179,7 +179,7 @@ def _row(dist: EdgeDistribution, d: int, n: int, seed: int) -> _Row:
     tab, draw_s = _lower_table(dist)
     if tab is not None:
         # Time the box on a field drawn from the table; fastest of three solves.
-        probe = tab[np.random.default_rng(0).integers(TABLE_SIZE, size=grid.edge_count)]
+        probe = tab[_rng(0).integers(TABLE_SIZE, size=grid.edge_count)]
         solve_s = math.inf
         for _ in range(3):
             start = time.perf_counter()
@@ -288,25 +288,19 @@ def estimate_variance(dist: EdgeDistribution, d: int, n: int, samples: int,
 
 def sweep(dist: EdgeDistribution, d: int, n_list, samples: int, seed: int,
           workers: int = 1) -> SweepResult:
-    """Variance estimates for each n in an increasing list of distances;
-    every row is checked before any runs."""
-    ns = list(n_list)
+    """Variance estimates for each n in an increasing list of distances.  Every n >= 2,
+    samples >= 100, d >= 2, workers >= 1 and seed >= 0 is an integer, checked first."""
+    ns = [_at_least(n, 2, "each n must be an integer >= 2") for n in n_list]
     if not ns:
         raise ValueError("n_list must not be empty")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n_list must be strictly increasing")
-    if samples < 100:
-        raise ValueError("need at least 100 samples")
-    if ns[0] < 2:
-        raise ValueError("n must be >= 2")
-    if d < 2:
-        raise ValueError("dimension must be >= 2")
+    samples = _at_least(samples, 100, "samples must be an integer >= 100")
+    d = _at_least(d, 2, "dimension must be an integer >= 2")
+    workers = _at_least(workers, 1, "workers must be an integer >= 1")
+    seed = _at_least(seed, 0, _SEED_RULE)
     if not (dist.std() > 0.0):
         raise ValueError("degenerate edge distribution")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError("seed must be a nonnegative integer")
     values = _replicate_values(dist, d, ns, samples, seed, workers)
     return SweepResult(rows=tuple(_estimate(n, seed, v) for n, v in zip(ns, values)))
 

@@ -106,7 +106,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .cube_averaging import random_vertex
-from .edge_distributions import EdgeDistribution, parse_distribution, sample
+from .edge_distributions import _SEED_RULE, EdgeDistribution, _at_least, parse_distribution, sample
 
 TIE_TOL = 1e-12
 # Half-width of a point-to-point query's sub-box around the span of its two
@@ -327,7 +327,7 @@ def field_from_distribution(grid: GridSpec, dist: EdgeDistribution | str,
 
 def _seed_tag(seed) -> SeedTag:
     if isinstance(seed, (int, np.integer)):
-        return int(seed)
+        return _at_least(seed, 0, _SEED_RULE)
     if isinstance(seed, np.random.SeedSequence) and seed.pool_size == _DEFAULT_POOL_SIZE:
         ent = seed.entropy
         ent = int(ent) if isinstance(ent, (int, np.integer)) else tuple(int(x) for x in ent)

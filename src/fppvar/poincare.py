@@ -45,11 +45,12 @@ from scipy import special
 
 from . import gaussian
 from .cube_averaging import cube, flip
-from .edge_distributions import EdgeDistribution, _psi_at_level, _uniforms
+from .edge_distributions import EdgeDistribution, _at_least, _psi_at_level, _rng, _uniforms
 from .gaussian import QuadratureRule
 from .phi import phi, phi_derivative
 
 MIN_MC_SAMPLES = 1000
+_MC_FLOOR = f"Monte Carlo checks need at least {MIN_MC_SAMPLES} samples"
 MAX_QUAD_CONT = 6
 
 
@@ -217,12 +218,6 @@ def _term_se(dvals: np.ndarray, term: ContinuousTerm, ratio_scale: float,
     return prefactor * math.sqrt(max(var, 0.0))
 
 
-def _sample_floor(samples: int) -> None:
-    """The one Monte Carlo sample floor, checked before any draw."""
-    if samples < MIN_MC_SAMPLES:
-        raise ValueError(f"Monte Carlo checks need at least {MIN_MC_SAMPLES} samples")
-
-
 def _mc_inequality(samples: int, vals, partials: list, discrete, ratio_scale: float,
                    prefactor: float) -> InequalityReport:
     """Monte Carlo report from raw outputs at ``samples`` points: f's values,
@@ -246,9 +241,9 @@ def _mc_inequality(samples: int, vals, partials: list, discrete, ratio_scale: fl
                    "monte-carlo", 0.0)
 
 
-def _mc_report(tf: TestFunction, samples: int, seed: int) -> InequalityReport:
-    _sample_floor(samples)
-    rng = np.random.default_rng(seed)
+def _mc_report(tf: TestFunction, samples: int, seed) -> InequalityReport:
+    samples = _at_least(samples, MIN_MC_SAMPLES, _MC_FLOOR)
+    rng = _rng(seed)
     x = rng.integers(0, 2, size=(samples, tf.n_bits)).astype(float)
     y = rng.standard_normal((samples, tf.n_cont))
     vals = _values(tf.fn, x, y)
@@ -260,14 +255,14 @@ def verify_modified_poincare(tf: TestFunction, rule: Optional[QuadratureRule] = 
                              mc: Optional[dict] = None) -> InequalityReport:
     """Verify the phi-weighted variance bound for one test function.
 
-    Exactly one of ``rule`` (tensor quadrature, n_cont <= 6) or ``mc``
-    (dict with ``samples`` and ``seed``) selects the evaluation method.
+    Exactly one of ``rule`` (tensor quadrature, n_cont <= 6) or ``mc`` (dict with integer
+    ``samples`` >= MIN_MC_SAMPLES and ``seed`` >= 0 or a SeedSequence, default 0) is given.
     """
     if (rule is None) == (mc is None):
         raise ValueError("pass exactly one of rule= or mc=")
     if rule is not None:
         return _quad_report(tf, rule)
-    return _mc_report(tf, int(mc["samples"]), int(mc.get("seed", 0)))
+    return _mc_report(tf, mc["samples"], mc.get("seed", 0))
 
 
 @dataclass(frozen=True)
@@ -308,8 +303,7 @@ def c_k(k: int) -> float:
 
     The integral is the Beta function B(1/2, (k-1)/2).
     """
-    if k < 2 or int(k) != k:
-        raise ValueError("k must be an integer >= 2")
+    k = _at_least(k, 2, "k must be an integer >= 2")
     return 2.0 * math.sqrt(k) / ((k - 1) * float(special.beta(0.5, 0.5 * (k - 1))))
 
 
@@ -319,13 +313,13 @@ def verify_chi2_inequality(g: Callable, gprime: Callable, k: int, alpha: float,
 
     Under the law with density proportional to e^{-alpha t} t^{k/2-1}:
     Var(g) <= (2/alpha) * ||D||_2^2 * phi(c(k) ||D||_1/||D||_2) with
-    D(y) = g'(y) sqrt(y).
+    D(y) = g'(y) sqrt(y); ``samples`` and ``seed`` as in verify_modified_poincare.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    _sample_floor(samples)
+    samples = _at_least(samples, MIN_MC_SAMPLES, _MC_FLOOR)
     ck = c_k(k)
-    y = np.random.default_rng(seed).gamma(shape=k / 2.0, scale=1.0 / alpha, size=samples)
+    y = _rng(seed).gamma(shape=k / 2.0, scale=1.0 / alpha, size=samples)
     return _mc_inequality(samples, g(y), [np.asarray(gprime(y), dtype=float) * np.sqrt(y)],
                           0.0, ck, 2.0 / alpha)
 
@@ -336,9 +330,9 @@ def verify_change_of_variables(f: Callable, fprime: Callable,
     """Monte Carlo check of the quantile-coupling variance bound.
 
     Under the edge law: Var(f) <= 2 * ||D||_2^2 * phi(||D||_1/||D||_2) with
-    D(y) = psi(y) f'(y).
+    D(y) = psi(y) f'(y); ``samples`` and ``seed`` as in verify_modified_poincare.
     """
-    _sample_floor(samples)
+    samples = _at_least(samples, MIN_MC_SAMPLES, _MC_FLOOR)
     # The draws of sample(dist, seed, samples), with their levels kept for psi.
     u = _uniforms(seed, samples)
     y = dist._quantile(u)

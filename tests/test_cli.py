@@ -351,9 +351,12 @@ class TestFpp:
         assert "repeated distribution parameter 'shape'" in err
 
     def test_bad_ns(self, capsys):
-        code, _, err = run(capsys, "fpp", "sweep", "--ns", "8,banana",
-                           "--samples", "120", "--seed", "0")
-        assert code == 2
+        # An empty token was dropped, and the sweep ran without it.
+        for ns in ("8,banana", "8,,16", "8,16,", ",8", "8, ,16"):
+            code, out, err = run(capsys, "fpp", "sweep", "--ns", ns,
+                                 "--samples", "120", "--seed", "0")
+            assert (code, out) == (2, ""), ns
+            assert "argument --ns" in err, ns
 
     @pytest.mark.parametrize("flags", [("--ns", ""), ("--workers", "0"),
                                        ("--workers", "-3")], ids=["empty-ns", "0", "-3"])
@@ -402,7 +405,7 @@ class TestConfigAndUsage:
         # a line without "=", a misspelt key, a value outside --mode's choices,
         # values that do not convert for options of another subcommand
         for text in ("samples 120\n", "sampels=100\n", "mode=foo\n",
-                     "seed=abc\n", "grid-size=abc\n"):
+                     "seed=abc\n", "grid-size=abc\n", "ns=8,,16\n", "ns=8,x\n"):
             cfg.write_text(text)
             code, _, err = run(capsys, "--config", str(cfg), "phi", "--u", "0.5")
             assert code == 2, text

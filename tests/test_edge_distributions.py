@@ -65,6 +65,17 @@ class TestFamilies:
     def test_sample_validation(self):
         with pytest.raises(ValueError):
             ed.sample(ed.exponential(), 0, 0)
+        # A float or bool count is refused, not truncated or taken as 1.
+        for n in (3.0, 2.5, True):
+            with pytest.raises(ValueError, match="n must be an integer >= 1"):
+                ed.sample(ed.exponential(), 0, n)
+        # None drew fresh entropy on every call, True drew as seed 1, and a
+        # Generator was used as it stood.
+        for seed in (None, 1.5, True, -1, np.random.default_rng(0)):
+            with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+                ed.sample(ed.exponential(), seed, 3)
+        assert np.array_equal(ed.sample(ed.exponential(), np.int64(7), 3),
+                              ed.sample(ed.exponential(), 7, 3))
 
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
@@ -569,6 +580,11 @@ class TestNearGamma:
     def test_direct_grid_validation(self):
         with pytest.raises(ValueError):
             ed.check_near_gamma_direct(ed.exponential(), 50)
+        # A float grid size is refused, not run at its integer part.
+        for size in (4000.9, 4000.0, True):
+            for check in (ed.check_near_gamma_direct, ed.classify):
+                with pytest.raises(ValueError, match="grid size must be an integer >= 100"):
+                    check(ed.exponential(), size)
 
     def test_classify_merges(self):
         rep = ed.classify(ed.half_normal(), 20_000)

@@ -161,17 +161,35 @@ class TestEstimateVariance:
                 ex.sweep(DIST, 2, ns, samples, 0, workers=workers)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("seed", [-1, 1.5, True])
-    def test_bad_seed_refused_before_any_row_set_up(self, monkeypatch, seed, workers):
-        # numpy's SeedSequence refuses the first two only in the first
+    @pytest.mark.parametrize("bad, message", [
+        ({"seed": -1}, "seed must be a nonnegative integer"),
+        ({"seed": 1.5}, "seed must be a nonnegative integer"),
+        ({"seed": True}, "seed must be a nonnegative integer"),
+        ({"n_list": [4, 8.5]}, "each n must be an integer >= 2"),
+        ({"n_list": [4.0, 8]}, "each n must be an integer >= 2"),
+        ({"n_list": [True, 4]}, "each n must be an integer >= 2"),
+        ({"samples": 150.5}, "samples must be an integer >= 100"),
+        ({"samples": True}, "samples must be an integer >= 100"),
+        ({"d": 2.5}, "dimension must be an integer >= 2"),
+        ({"d": True}, "dimension must be an integer >= 2"),
+        ({"workers": 1.5}, "workers must be an integer >= 1"),
+        ({"workers": True}, "workers must be an integer >= 1"),
+    ], ids=["-1", "1.5", "True", "n-8.5", "n-4.0", "n-True", "samples-150.5",
+            "samples-True", "d-2.5", "d-True", "workers-1.5", "workers-True"])
+    def test_bad_seed_refused_before_any_row_set_up(self, monkeypatch, bad, message, workers):
+        # Each is refused before any row is set up, at any worker count.
+        # numpy's SeedSequence refuses seed -1 and 1.5 only in the first
         # replicate, after the set-up, and takes True as 1, which the CSV
-        # would record as True.
+        # would record as True; a float n, samples, d or workers would set
+        # rows up or fail inside, and workers=True would run as 1.  The
+        # bad workers cases replace the workers parameter.
         def no_set_up(dist):
             raise AssertionError("a row was set up")
 
         monkeypatch.setattr(ex, "_lower_table", no_set_up)
-        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
-            ex.sweep(DIST, 2, [4], 100, seed=seed, workers=workers)
+        args = {"d": 2, "n_list": [4], "samples": 100, "seed": 1, "workers": workers, **bad}
+        with pytest.raises(ValueError, match=message):
+            ex.sweep(DIST, **args)
 
     def test_solver_loads_before_the_pool_forks(self):
         # Forked workers inherit the graph solver, and no worker's set-up

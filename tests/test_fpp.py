@@ -316,6 +316,13 @@ class TestWeightField:
         with pytest.raises(TypeError, match="seed"):
             fpp.field_from_distribution(g, "exp:rate=1", seed)
 
+    def test_bool_or_negative_seed_rejected(self):
+        # True drew and was recorded as seed 1.
+        g = fpp.GridSpec(lo=(0, 0), hi=(3, 3))
+        for seed in (True, -1):
+            with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+                fpp.field_from_distribution(g, "exp:rate=1", seed)
+
 
 class TestPassageTime:
     def test_unit_weights_l1(self):

@@ -365,20 +365,27 @@ class TestOneReportBuilder:
 
     def test_one_sample_floor(self):
         entry_points = {
-            "modified-poincare": lambda n: P.verify_modified_poincare(
-                P.REGISTRY["bit-times-gauss"], mc={"samples": n, "seed": 0}),
-            "chi2": lambda n: P.verify_chi2_inequality(
-                lambda y: y, np.ones_like, k=2, alpha=1.0, samples=n, seed=0),
-            "change-of-variables": lambda n: P.verify_change_of_variables(
-                lambda y: y, np.ones_like, exponential(), n, 0),
+            "modified-poincare": lambda n, seed=0: P.verify_modified_poincare(
+                P.REGISTRY["bit-times-gauss"], mc={"samples": n, "seed": seed}),
+            "chi2": lambda n, seed=0: P.verify_chi2_inequality(
+                lambda y: y, np.ones_like, k=2, alpha=1.0, samples=n, seed=seed),
+            "change-of-variables": lambda n, seed=0: P.verify_change_of_variables(
+                lambda y: y, np.ones_like, exponential(), n, seed),
         }
         messages = set()
         for name, run in entry_points.items():
-            for n in (-5, 0, P.MIN_MC_SAMPLES - 1):
+            # A float count is refused, not truncated (2000.9 ran as 2000).
+            for n in (-5, 0, P.MIN_MC_SAMPLES - 1, True, 1500.5, 2000.0):
                 with pytest.raises(ValueError) as info:
                     run(n)
                 messages.add(str(info.value))
+            # None drew fresh entropy on every call, True ran as 1, and so did
+            # 1.5 under mc=.
+            for seed in (None, 1.5, True, -1):
+                with pytest.raises(ValueError, match="^seed must be a nonnegative integer$"):
+                    run(P.MIN_MC_SAMPLES, seed)
             assert isinstance(run(P.MIN_MC_SAMPLES), P.InequalityReport), name
+            assert run(P.MIN_MC_SAMPLES, np.int64(3)) == run(P.MIN_MC_SAMPLES, 3), name
         assert messages == {f"Monte Carlo checks need at least {P.MIN_MC_SAMPLES} samples"}
 
     def test_tensor_grid_cap(self):
