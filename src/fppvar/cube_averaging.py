@@ -40,6 +40,10 @@ from typing import Sequence
 
 import numpy as np
 
+from ._counts import _at_least
+
+_M_RULE = "m must be >= 1"
+
 
 def cube(n_bits: int) -> np.ndarray:
     """All 2^n_bits points of {0,1}^n_bits as float rows; bit q of row i is bit q of i."""
@@ -121,8 +125,7 @@ def weight_boundaries(m: int) -> tuple[int, ...]:
     b_y is the smallest weight with cumulative mass >= y/(m+1), pushed up
     where needed to keep the cut points distinct.  Exact integer arithmetic.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    m = _at_least(m, 1, _M_RULE)
     n = m * m
     total = 1 << n
     cums = list(accumulate(comb(n, w) for w in range(n + 1)))
@@ -149,8 +152,7 @@ def _levels(m: int) -> np.ndarray:
 def g_m(bits: Sequence[int], m: int) -> int:
     """Evaluate the averaging function for the given m.  m and the length are
     checked first: the table takes seconds to build for m in the tens."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    m = _at_least(m, 1, _M_RULE)
     vals = np.asarray(bits)
     if vals.shape != (m * m,):
         raise ValueError(f"bit vector must have length {m * m}, got shape {vals.shape}")
@@ -174,6 +176,7 @@ def verify_averaging_properties(m: int) -> AveragingReport:
     at most 1.  The largest level-set mass, from :func:`level_probabilities`,
     must be at most 2*c1/m with c1 computed numerically.
     """
+    m = _at_least(m, 1, _M_RULE)
     if m > 32:
         raise ValueError("the averaging check is limited to m <= 32")
     gradient_ok = bool(np.all(np.abs(np.diff(_levels(m))) <= 1))
@@ -186,6 +189,7 @@ def verify_averaging_properties(m: int) -> AveragingReport:
 
 def level_probabilities(m: int) -> list[float]:
     """Exact level-set probabilities of g_m via binomial counting (any m)."""
+    m = _at_least(m, 1, _M_RULE)
     n = m * m
     counts = [0] * (m + 1)
     for w, level in enumerate(_levels(m).tolist()):

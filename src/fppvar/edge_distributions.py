@@ -29,6 +29,7 @@ from scipy import special
 from scipy.special._ufuncs import _beta_pdf
 
 from . import gaussian
+from ._counts import _at_least
 
 # Theta-style checks accept a spread of at most BAND^2 between the smallest
 # and largest observed ratio, and require the window endpoints to move by
@@ -325,13 +326,6 @@ _U_HI = 1.0 - 2.0 ** -52
 _SEED_RULE = "seed must be a nonnegative integer"
 
 
-def _at_least(value, floor: int, message: str) -> int:
-    """Every seed and count: ``value`` as an int if an integer, not a bool, >= ``floor``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < floor:
-        raise ValueError(message)
-    return int(value)
-
-
 def _rng(seed) -> np.random.Generator:
     """The one place a seed becomes a generator: a SeedSequence, or an integer >= 0."""
     if not isinstance(seed, np.random.SeedSequence):
@@ -431,13 +425,18 @@ def check_near_gamma_sufficient(dist: EdgeDistribution) -> NearGammaReport:
                            verdict="sufficient-conditions-pass" if both else "fail")
 
 
-def _direct_stats(dist: EdgeDistribution, m: int) -> tuple[float, float, int]:
+def _direct_grid(dist: EdgeDistribution, m: int) -> tuple[float, np.ndarray]:
+    """The sup of psi(y)/sqrt(y) on the m-point equal-mass quantile grid, and psi there."""
     p = (np.arange(m) + 0.5) / m
     ys = dist._quantile(p)
     _check_inside(dist, ys)
     psis = _psi_at_level(dist, p, ys)
-    a_hat = float(np.max(psis / np.sqrt(ys)))
+    return float(np.max(psis / np.sqrt(ys))), psis
 
+
+def _small_ball_slope(psis: np.ndarray) -> tuple[float, int]:
+    """The fitted log-log slope of the sub-level mass of psi over thresholds in
+    [1e-4, 1e-1], and how many thresholds have mass below them."""
     a_grid = np.geomspace(1e-4, 1e-1, 13)
     frac = np.count_nonzero(a_grid[:, None] >= psis, axis=1) / psis.size
     keep = frac > 0.0
@@ -445,7 +444,7 @@ def _direct_stats(dist: EdgeDistribution, m: int) -> tuple[float, float, int]:
         slope = float(np.polyfit(np.log(a_grid[keep]), np.log(frac[keep]), 1)[0])
     else:
         slope = math.nan
-    return a_hat, slope, int(keep.sum())
+    return slope, int(keep.sum())
 
 
 def check_near_gamma_direct(dist: EdgeDistribution,
@@ -458,8 +457,9 @@ def check_near_gamma_direct(dist: EdgeDistribution,
     below the threshold range the sub-level condition holds vacuously.
     """
     m = _at_least(quantile_grid_size, 100, "quantile grid size must be an integer >= 100")
-    a1, _, _ = _direct_stats(dist, m)
-    a2, slope, resolved = _direct_stats(dist, 2 * m)
+    a1, _ = _direct_grid(dist, m)
+    a2, psis = _direct_grid(dist, 2 * m)
+    slope, resolved = _small_ball_slope(psis)
 
     stable = math.isfinite(a1) and math.isfinite(a2) and abs(a2 - a1) < 0.10 * a1
     if resolved == 0:

@@ -76,7 +76,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fpp
-from .edge_distributions import _SEED_RULE, _U_HI, EdgeDistribution, _at_least, _rng, _uniforms
+from ._counts import _at_least
+from .edge_distributions import _SEED_RULE, _U_HI, EdgeDistribution, _rng, _uniforms
 
 CSV_HEADER = "n,samples,mean,var,se_var,mean_over_n,var_over_n,var_logn_over_n,seed"
 

@@ -105,8 +105,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from ._counts import _at_least
 from .cube_averaging import random_vertex
-from .edge_distributions import _SEED_RULE, EdgeDistribution, _at_least, parse_distribution, sample
+from .edge_distributions import _SEED_RULE, EdgeDistribution, parse_distribution, sample
 
 TIE_TOL = 1e-12
 # Half-width of a point-to-point query's sub-box around the span of its two

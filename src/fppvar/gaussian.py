@@ -19,6 +19,8 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import erfc, erfcx, ndtri
 
+from ._counts import _at_least
+
 SQRT2 = math.sqrt(2.0)
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
@@ -112,9 +114,7 @@ class QuadratureRule:
 
 def hermite_rule(order: int = 64) -> QuadratureRule:
     """Gauss-Hermite rule rescaled to the standard Gaussian weight."""
-    if order < 2:
-        raise ValueError("order must be >= 2")
-    x, w = np.polynomial.hermite.hermgauss(order)
+    x, w = np.polynomial.hermite.hermgauss(_at_least(order, 2, "order must be >= 2"))
     return QuadratureRule(nodes=x * SQRT2, weights=w / math.sqrt(math.pi))
 
 
@@ -137,6 +137,8 @@ def legendre_gaussian_rule(panels: int = 512, order: int = 8) -> QuadratureRule:
     the panel containing a kink contributes error.  Mass beyond
     +-``LEGENDRE_HALF_WIDTH`` is dropped.
     """
+    panels = _at_least(panels, 1, "panels must be an integer >= 1")
+    order = _at_least(order, 1, "order must be an integer >= 1")
     nodes, weights = _legendre_panels(-LEGENDRE_HALF_WIDTH, LEGENDRE_HALF_WIDTH, panels, order)
     return QuadratureRule(nodes=nodes,
                           weights=weights * (INV_SQRT_2PI * np.exp(-0.5 * nodes ** 2)))

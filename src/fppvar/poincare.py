@@ -25,7 +25,14 @@ rhs_total the discrete term plus the continuous contributions:
 
 Quadrature reports evaluate f and its partials, each through ``_values``, on
 the cube x tensor Gauss-Hermite grid (n_cont <= ``MAX_QUAD_CONT``): no
-sampling error, floor 1e-6.  Monte Carlo reports evaluate them the same way
+sampling error, floor 1e-6.  ``_quad_points`` builds that grid once per call:
+one (N,)*k + (k,) array, coordinate i filled by broadcasting the rule's nodes
+along axis i, viewed as (1, N^k, k) beside the cube's (2^bits, 1, bits); the
+weights are the outer product of the rule's.  Each moment is reduced on its
+own, as (A @ weights).sum() / 2^bits, which is np.mean's reduction and
+division without its wrapper.  Stacking the moments into one matrix product
+changes the last bits of the reports, because numpy's matrix-vector and
+batched products sum in another order.  Monte Carlo reports evaluate them the same way
 at ``MIN_MC_SAMPLES`` or more sampled points: floor 0, the standard error of
 the sample variance and delta-method errors of the phi-weighted terms.  The
 tensorisation check Var(g) <= sum_q ||grad_q g||^2 enumerates the cube for a
@@ -44,8 +51,9 @@ import numpy as np
 from scipy import special
 
 from . import gaussian
+from ._counts import _at_least
 from .cube_averaging import cube, flip
-from .edge_distributions import EdgeDistribution, _at_least, _psi_at_level, _rng, _uniforms
+from .edge_distributions import EdgeDistribution, _psi_at_level, _rng, _uniforms
 from .gaussian import QuadratureRule
 from .phi import phi, phi_derivative
 
@@ -69,8 +77,10 @@ class TestFunction:
     partials: tuple[Callable[[np.ndarray, np.ndarray], np.ndarray], ...]
 
     def __post_init__(self):
-        if self.n_cont < 1:
-            raise ValueError("n_cont must be >= 1")
+        # Frozen, so the checked counts are stored as plain ints through object.
+        for name, floor in (("n_bits", 0), ("n_cont", 1)):
+            count = _at_least(getattr(self, name), floor, f"{name} must be an integer >= {floor}")
+            object.__setattr__(self, name, count)
         if len(self.partials) != self.n_cont:
             raise ValueError("need one partial per continuous coordinate")
 
@@ -103,14 +113,24 @@ def _quad_points(tf: TestFunction, rule: QuadratureRule) -> tuple[np.ndarray, np
 
     x (cube vertices, 1, bits) and y (1, grid nodes, coordinates) broadcast
     to one value per (vertex, node); the quadrature mean of such an array A
-    is mean(A @ weights), uniform over the cube.
+    is :func:`_quad_mean`, uniform over the cube.  Coordinate i of the
+    (N,)*k grid is rule.nodes along axis i, filled by broadcasting.
     """
-    if tf.n_cont > MAX_QUAD_CONT:
+    k = tf.n_cont
+    if k > MAX_QUAD_CONT:
         raise ValueError(f"tensor quadrature supports n_cont <= {MAX_QUAD_CONT}")
-    grids = np.meshgrid(*([rule.nodes] * tf.n_cont), indexing="ij")
-    nodes = np.stack([g.ravel() for g in grids], axis=-1)
-    weights = reduce(np.multiply.outer, [rule.weights] * tf.n_cont).ravel()
-    return cube(tf.n_bits)[:, None, :], nodes[None, :, :], weights
+    n = rule.nodes.size
+    nodes = np.empty((n,) * k + (k,))
+    for i in range(k):
+        nodes[..., i] = rule.nodes.reshape((n,) + (1,) * (k - 1 - i))
+    weights = reduce(np.multiply.outer, [rule.weights] * k).ravel()
+    return cube(tf.n_bits)[:, None, :], nodes.reshape(1, n ** k, k), weights
+
+
+def _quad_mean(a: np.ndarray, weights: np.ndarray) -> float:
+    """The quadrature mean of a (vertices, nodes) array: np.mean's reduction
+    and division of a @ weights, without its wrapper."""
+    return float((a @ weights).sum() / a.shape[0])
 
 
 def _values(fn: Callable, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -152,7 +172,7 @@ def discrete_gradient_norm(tf: TestFunction, q: int,
         raise ValueError("bit index out of range")
     x, y, weights = _quad_points(tf, rule or gaussian.hermite_rule())
     grad = 0.5 * flip(_values(tf.fn, x, y), q)
-    return float(np.mean(grad ** 2 @ weights))
+    return _quad_mean(grad ** 2, weights)
 
 
 def _report(lhs: float, lhs_se: float, discrete: float, rhs_var: float,
@@ -172,7 +192,7 @@ def _quad_report(tf: TestFunction, rule: QuadratureRule) -> InequalityReport:
     x, y, weights = _quad_points(tf, rule)
 
     def mean(a: np.ndarray) -> float:
-        return float(np.mean(a @ weights))
+        return _quad_mean(a, weights)
 
     vals = _values(tf.fn, x, y)
     first = mean(vals)
@@ -282,7 +302,7 @@ def verify_variance_split(tf: TestFunction, rule: QuadratureRule) -> VarianceSpl
     mean = float(col_mean @ weights)
     within = float(col_var @ weights)
     between = float((col_mean ** 2) @ weights) - mean ** 2
-    total = float(np.mean((vals ** 2) @ weights)) - mean * mean
+    total = _quad_mean(vals ** 2, weights) - mean * mean
     rhs = within + between
     return VarianceSplitReport(lhs=total, rhs=rhs, discrepancy=abs(total - rhs))
 
@@ -290,6 +310,7 @@ def verify_variance_split(tf: TestFunction, rule: QuadratureRule) -> VarianceSpl
 def verify_tensorisation(g: Callable[[np.ndarray], np.ndarray],
                          n_bits: int) -> InequalityReport:
     """Exhaustively check Var(g) <= sum_q ||grad_q g||^2 on the cube."""
+    n_bits = _at_least(n_bits, 0, "n_bits must be an integer >= 0")
     if n_bits > 20:
         raise ValueError("exhaustive enumeration is limited to 20 bits")
     vals = np.asarray(g(cube(n_bits)), dtype=float)

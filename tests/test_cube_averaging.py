@@ -134,6 +134,24 @@ class TestAveragingFunction:
             with pytest.raises(ValueError, match="m must be >= 1"):
                 call()
 
+    @pytest.mark.parametrize("m", [True, False, 2.0, 2.5, -1])
+    def test_m_is_an_integer(self, m):
+        # True ran as m=1 (g_m([1], True) returned 1) and a float raised a
+        # TypeError from 1 << n.
+        for call in (lambda: ca.g_m([1], m), lambda: ca.g_m([1, 0, 1, 1], m),
+                     lambda: ca.verify_averaging_properties(m),
+                     lambda: ca.level_probabilities(m), lambda: ca.weight_boundaries(m)):
+            with pytest.raises(ValueError, match="m must be >= 1"):
+                call()
+
+    def test_numpy_integer_m(self):
+        bits = [1, 0, 1, 1, 0, 0, 1, 1, 1]
+        assert ca.g_m(bits, np.int64(3)) == ca.g_m(bits, 3)
+        rep = ca.verify_averaging_properties(np.int64(3))
+        assert rep == ca.verify_averaging_properties(3) and type(rep.m) is int
+        assert ca.level_probabilities(np.int64(3)) == ca.level_probabilities(3)
+        assert ca.weight_boundaries(np.int64(3)) == ca.weight_boundaries(3)
+
     def test_rejects_non_bits(self):
         for not_bits in ([0.5, 1.9, 1, 1], [0, 1, -1, 0], [0, 1, float("nan"), 0]):
             with pytest.raises(ValueError, match="0 or 1"):

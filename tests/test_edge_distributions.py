@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import math
 import pickle
 import warnings
@@ -585,6 +586,25 @@ class TestNearGamma:
             for check in (ed.check_near_gamma_direct, ed.classify):
                 with pytest.raises(ValueError, match="grid size must be an integer >= 100"):
                     check(ed.exponential(), size)
+
+    def test_small_ball_fit_once(self, monkeypatch):
+        # The m grid only checks that A_hat is stable; the small-ball fit runs
+        # on the 2m grid alone.  The digest was recorded while the fit also
+        # ran, unused, on the m grid.
+        sizes = []
+        fit = ed._small_ball_slope
+
+        def counted(psis):
+            sizes.append(psis.size)
+            return fit(psis)
+
+        monkeypatch.setattr(ed, "_small_ball_slope", counted)
+        specs = ["exp", "gamma:shape=2", "beta:a=2,b=3", "uniform", "chi2", "halfnormal",
+                 "beta:a=0.5,b=0.5"]
+        reps = [ed.classify(ed.parse_distribution(s), 4000) for s in specs]
+        assert sizes == [8000] * len(specs)
+        assert hashlib.sha256("\n".join(map(repr, reps)).encode()).hexdigest() == (
+            "8e3b03619942e894853acf5023fb836cbebbbebcdd8f1b820e08740a98f87a0a")
 
     def test_classify_merges(self):
         rep = ed.classify(ed.half_normal(), 20_000)

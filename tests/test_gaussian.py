@@ -171,6 +171,20 @@ class TestQuadratureRule:
         with pytest.raises(ValueError):
             G.hermite_rule(1)
 
+    def test_counts_are_integers(self):
+        # 8.0 and 4.0 raised a TypeError inside numpy; True ran as 1.
+        for order in (True, 8.0, 2.5, -3):
+            with pytest.raises(ValueError, match="order must be >= 2"):
+                G.hermite_rule(order)
+        for panels, order in ((4.0, 8), (True, 8), (0, 8), (4, 8.0), (4, True), (4, 0)):
+            with pytest.raises(ValueError, match="must be an integer >= 1"):
+                G.legendre_gaussian_rule(panels, order)
+        for got, want in ((G.hermite_rule(np.int64(8)), G.hermite_rule(8)),
+                          (G.legendre_gaussian_rule(np.int64(4), np.int64(8)),
+                           G.legendre_gaussian_rule(4, 8))):
+            assert np.array_equal(got.nodes, want.nodes)
+            assert np.array_equal(got.weights, want.weights)
+
 
 class TestOuApply:
     def test_linear_contraction(self):

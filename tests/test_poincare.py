@@ -430,3 +430,76 @@ class TestReportGoldens:
                  for q in range(tf.n_bits)]
         assert _digest(norms) == (
             "fcda74223f20188ae7096f5b299b847511427d7247c7c25345e445afbed7df80")
+
+
+# A 3-coordinate function with 2 bits: the grid fill beyond two axes.
+MIXED_3D = P.TestFunction(
+    "mixed-3d", 2, 3,
+    lambda x, y: ((x[..., 0] - 0.5) * y[..., 0] * y[..., 2] + x[..., 1] * np.sin(y[..., 1])
+                  + y[..., 2] ** 2),
+    (lambda x, y: (x[..., 0] - 0.5) * y[..., 2],
+     lambda x, y: x[..., 1] * np.cos(y[..., 1]),
+     lambda x, y: (x[..., 0] - 0.5) * y[..., 0] + 2.0 * y[..., 2]))
+
+
+class TestTensorGrid:
+    """The grid is filled by broadcasting and each mean reduces a @ weights
+    without np.mean's wrapper.  The digests were recorded with the
+    meshgrid-and-stack grid and np.mean reductions that this replaced."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_grid_is_the_tensor_product(self, k):
+        rule = G.hermite_rule(5)
+        tf = P.TestFunction(f"sum-{k}d", 1, k, lambda x, y: y.sum(axis=-1), (lambda x, y: 1.0,) * k)
+        x, y, weights = P._quad_points(tf, rule)
+        # Independent construction: one row per index tuple, in C order.
+        idx = np.array(np.unravel_index(np.arange(5 ** k), (5,) * k)).T
+        assert y.shape == (1, 5 ** k, k) and y.flags.c_contiguous
+        assert np.array_equal(y[0], rule.nodes[idx])
+        assert np.array_equal(weights, np.prod(rule.weights[idx], axis=1))
+        assert np.array_equal(x, np.array([[[0.0]], [[1.0]]]))
+
+    @pytest.mark.parametrize("rule, digest", [
+        (G.legendre_gaussian_rule(64, 8),
+         "7a2ac0de0a17309f314ed745e0da91be9c51824de51653193eaa5352d5500660"),
+        (G.hermite_rule(8), "f57ad97c1513385a619bcd598b0167cdc104a1af4a906d96b83b1ca806c24ea6")])
+    def test_registry_on_other_rules(self, rule, digest):
+        reps = [P.verify_modified_poincare(P.REGISTRY[k], rule=rule) for k in sorted(P.REGISTRY)]
+        assert _digest(reps) == digest
+
+    def test_three_coordinates(self):
+        rule = G.hermite_rule(8)
+        rep = P.verify_modified_poincare(MIXED_3D, rule=rule)
+        split = P.verify_variance_split(MIXED_3D, rule)
+        norms = [P.discrete_gradient_norm(MIXED_3D, q, rule) for q in range(2)]
+        assert _digest([rep, split] + norms) == (
+            "b47e2e98f48eff64a6214f0ba927619a0fb1e96d270ad42c92f1d33afc1f2f65")
+        # Closed forms: bit 0 moves f by y0*y2, bit 1 by sin(y1).
+        assert norms[0] == pytest.approx(0.25, rel=1e-12)
+        assert norms[1] == pytest.approx((1.0 - math.exp(-2.0)) / 8.0, rel=1e-3)
+        assert split.discrepancy <= 1e-12
+        assert rep.passed and len(rep.continuous_terms) == 3
+
+
+class TestCounts:
+    """n_bits and n_cont follow the package's count rule: an integer, not a bool."""
+
+    @pytest.mark.parametrize("n_bits, n_cont", [
+        (True, 1), (1.0, 1), (-1, 1), (0, True), (0, 1.0), (0, 0)])
+    def test_test_function_refuses(self, n_bits, n_cont):
+        with pytest.raises(ValueError, match="must be an integer >= "):
+            P.TestFunction("bad", n_bits, n_cont, lambda x, y: y[..., 0], (lambda x, y: 1.0,))
+
+    def test_numpy_integers(self):
+        tf = P.REGISTRY["mixed-bit-quadratic"]
+        same = P.TestFunction(tf.name, np.int64(1), np.int64(2), tf.fn, tf.partials)
+        assert type(same.n_bits) is int and type(same.n_cont) is int
+        assert P.verify_modified_poincare(same, rule=RULE) == P.verify_modified_poincare(tf, rule=RULE)
+
+    def test_tensorisation_bits(self):
+        def g(x):
+            return x[:, 0]
+        for n_bits in (True, 1.0, -1):
+            with pytest.raises(ValueError, match="n_bits must be an integer >= 0"):
+                P.verify_tensorisation(g, n_bits)
+        assert P.verify_tensorisation(g, np.int64(2)) == P.verify_tensorisation(g, 2)
