@@ -1,4 +1,4 @@
-"""The package's one rule for counts, sizes and integer seeds.
+"""The package's one rule for counts, indices, sizes and integer seeds.
 
 It imports nothing from the package, so every module, :mod:`fppvar.gaussian`
 included, can use it without an import cycle.

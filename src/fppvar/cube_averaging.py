@@ -84,7 +84,8 @@ def rank(bits: Sequence[int]) -> int:
 
 def unrank(r: int, n: int) -> list[int]:
     """Inverse of :func:`rank` on {1, ..., 2^n}."""
-    if not (1 <= r <= 1 << n):
+    n = _at_least(n, 0, "n must be >= 0")
+    if _at_least(r, 1, "rank out of range") > 1 << n:
         raise ValueError("rank out of range")
     w = 0
     acc = 0
@@ -108,14 +109,14 @@ def unrank(r: int, n: int) -> list[int]:
 
 def max_flip_rank_shift(m: int) -> int:
     """Upper bound 2*C(m^2, floor(m^2/2)) on the rank change of one bit flip."""
-    n = m * m
+    n = _at_least(m, 1, _M_RULE) ** 2
     return 2 * comb(n, n // 2)
 
 
 def c1_constant(m: int) -> float:
     """max over m' <= m of max_flip_rank_shift(m') * m' / 2^(m'^2)."""
-    return max((max_flip_rank_shift(mp) * mp / (1 << mp * mp) for mp in range(1, m + 1)),
-               default=0.0)
+    m = _at_least(m, 1, _M_RULE)
+    return max(max_flip_rank_shift(mp) * mp / (1 << mp * mp) for mp in range(1, m + 1))
 
 
 @cache
@@ -200,6 +201,7 @@ def level_probabilities(m: int) -> list[float]:
 
 def random_vertex(a, d: int) -> tuple[int, ...]:
     """Coordinate-wise averaging of a d x m^2 bit matrix into {0..m}^d."""
+    d = _at_least(d, 1, "d must be >= 1")
     mat = np.asarray(a)
     if mat.ndim != 2 or mat.shape[0] != d:
         raise ValueError(f"bit matrix must have shape ({d}, m^2)")

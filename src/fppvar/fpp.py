@@ -106,12 +106,12 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from ._counts import _at_least
-from .cube_averaging import random_vertex
+from .cube_averaging import _M_RULE, random_vertex
 from .edge_distributions import _SEED_RULE, EdgeDistribution, parse_distribution, sample
 
 TIE_TOL = 1e-12
-# Half-width of a point-to-point query's sub-box around the span of its two
-# endpoints, on every axis but the one along which they lie farthest apart.
+_EDGE_RULE = "edge index out of range"
+# Half-width of a point-to-point query's sub-box around its endpoints; see _sub_box.
 SUB_PAD = 4
 # A grid's memo of query sub-boxes starts over once it holds this many
 # (s, t) pairs, a few hundred bytes each, or its sub-grids hold more edges
@@ -220,7 +220,7 @@ class GridSpec:
 
     def edge_index(self, v: Sequence[int], axis: int) -> int:
         """Index of the positive-direction edge leaving v along axis."""
-        if not (0 <= axis < self.d):
+        if _at_least(axis, 0, "axis out of range") >= self.d:
             raise ValueError("axis out of range")
         if not self.contains(v) or v[axis] + 1 > self.hi[axis]:
             raise ValueError("edge endpoint outside the box")
@@ -230,6 +230,8 @@ class GridSpec:
         return int(self._edges_between(np.array([a]), np.array([b]))[0])
 
     def edge_endpoints(self, e: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        if _at_least(e, 0, _EDGE_RULE) >= self.edge_count:
+            raise ValueError(_EDGE_RULE)
         tails, heads = self._edge_arrays
         return self.vertex_coords(int(tails[e])), self.vertex_coords(int(heads[e]))
 
@@ -366,13 +368,13 @@ def _solve(grid: GridSpec, weights: np.ndarray, source: int,
 
 
 def _sub_box(grid: GridSpec, s: int, t: int) -> tuple[GridSpec, tuple, int, int]:
-    """The sub-box of the query from vertex index s to t (s != t): its grid,
-    its edge picks (read by :func:`_sub_weights`), and the sub-grid indices
-    of s and t.  The sub-box spans s and t, widened by SUB_PAD on every axis
-    but the first along which they lie farthest apart, and clipped to the
-    box; for 0 and n*e1 it is the strip [0, n] x [-SUB_PAD, SUB_PAD]^(d-1).
-    One sub-grid serves every sub-box of a shape, and the grid itself a
-    sub-box that is the whole box.  Sub-grid edge order is the box's
+    """The sub-box of the query from vertex index s to t: its grid, its edge
+    picks (read by :func:`_sub_weights`), and the sub-grid indices of s and
+    t.  The sub-box spans s and t, widened by SUB_PAD on every axis but the
+    first along which they lie farthest apart (every axis when s == t), and
+    clipped to the box; for 0 and n*e1 it is [0, n] x [-SUB_PAD, SUB_PAD]^(d-1).
+    One sub-grid serves every sub-box of a shape, and the grid itself (no
+    second matrix) a whole-box one.  Sub-grid edge order is the box's
     restricted to the sub-box, so each axis's sub-box edges are one basic
     slice of that axis's edge block."""
     shapes, pairs = grid._sub_memo
@@ -383,7 +385,7 @@ def _sub_box(grid: GridSpec, s: int, t: int) -> tuple[GridSpec, tuple, int, int]
     a = [int(c) for c in np.unravel_index(s, grid.extents)]
     b = [int(c) for c in np.unravel_index(t, grid.extents)]
     gaps = [abs(x - y) for x, y in zip(a, b)]
-    span = gaps.index(max(gaps))
+    span = gaps.index(max(gaps)) if s != t else None
     pad = [0 if k == span else SUB_PAD for k in range(grid.d)]
     lo = [max(min(x, y) - p, 0) for x, y, p in zip(a, b, pad)]
     hi = [min(max(x, y) + p, e - 1) for x, y, p, e in zip(a, b, pad, grid.extents)]
@@ -416,14 +418,9 @@ def _bounded_solve(grid: GridSpec, weights: np.ndarray, s: int, t: int, **option
     the box under ``weights`` with ``limit`` the label X at t of the sub-box
     (:func:`_sub_box`), plus fact 3's tie margin; X = 0 when s == t.  Its
     label at t is the full solve's, bit for bit (module docstring, fact 1).
-    When the sub-box is the whole box, its one solve is the full solve,
-    without a limit.  ``options`` pass through to :func:`_solve`."""
-    cap = 0.0
-    if s != t:
-        sub, picks, a, b = _sub_box(grid, s, t)
-        if sub is grid:
-            return _solve(grid, weights, s, **options)
-        cap = _solve(sub, _sub_weights(weights, picks), a)[b]
+    ``options`` pass through to :func:`_solve`."""
+    sub, picks, a, b = _sub_box(grid, s, t)
+    cap = _solve(sub, _sub_weights(weights, picks), a)[b]
     return _solve(grid, weights, s, limit=cap + 2.0 * TIE_TOL * max(1.0, cap), **options)
 
 
@@ -471,7 +468,7 @@ def _passage(field: WeightField, u: Sequence[int],
              v: Sequence[int]) -> tuple[PassageResult, np.ndarray, np.ndarray]:
     """The passage result from u to v, the labels from u and the geodesic's
     vertices from u.  The labels are capped (:func:`_bounded_solve`) and
-    ``inf`` past the cap, unless the query's sub-box is the whole box.
+    ``inf`` past the cap.
     Dijkstra sets a label to its tree parent's plus the edge weight, so the
     label at v must be the left fold of the path's weights."""
     grid = field.grid
@@ -499,8 +496,8 @@ def edge_derivative(field: WeightField, v: Sequence[int], e: int) -> int:
     geodesic enters it with reduced cost at most tol = TIE_TOL * max(1, T).
     """
     grid = field.grid
-    if not (0 <= e < grid.edge_count):
-        raise ValueError("edge index out of range")
+    if _at_least(e, 0, _EDGE_RULE) >= grid.edge_count:
+        raise ValueError(_EDGE_RULE)
     res, ds, at = _passage(field, (0,) * grid.d, v)
     tol = TIE_TOL * max(1.0, res.distance)
     _, indices, perm = grid._csr_template
@@ -544,8 +541,8 @@ def single_edge_response(field: WeightField, v: Sequence[int], e: int,
         raise ValueError("y_grid must be finite")
     if ys[0] != 0.0:
         raise ValueError("y_grid must start at 0")
-    if not (0 <= e < grid.edge_count):
-        raise ValueError("edge index out of range")
+    if _at_least(e, 0, _EDGE_RULE) >= grid.edge_count:
+        raise ValueError(_EDGE_RULE)
     origin = grid.vertex_index((0,) * grid.d)
     vi = grid.vertex_index(v)
     # Every y is finite and nonnegative (checked above), so each modified
@@ -581,7 +578,7 @@ def averaged_passage_time(a, field: WeightField, v: Sequence[int], m: int) -> fl
     """Passage time between the randomly shifted endpoints z(a) and v + z(a)."""
     grid = field.grid
     mat = np.asarray(a)
-    if mat.ndim != 2 or mat.shape != (grid.d, m * m):
+    if mat.shape != (grid.d, _at_least(m, 1, _M_RULE) ** 2):
         raise ValueError(f"bit matrix must have shape ({grid.d}, {m * m})")
     z = random_vertex(mat, grid.d)
     shifted = tuple(c + zc for c, zc in zip(v, z))

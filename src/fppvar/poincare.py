@@ -168,7 +168,7 @@ def discrete_gradient_norm(tf: TestFunction, q: int,
     The gradient is (f(x) - f(x with bit q flipped)) / 2, averaged over the
     cube and the Gaussian coordinates.
     """
-    if not (0 <= q < tf.n_bits):
+    if _at_least(q, 0, "bit index out of range") >= tf.n_bits:
         raise ValueError("bit index out of range")
     x, y, weights = _quad_points(tf, rule or gaussian.hermite_rule())
     grad = 0.5 * flip(_values(tf.fn, x, y), q)

@@ -63,6 +63,18 @@ class TestRank:
         with pytest.raises(ValueError):
             ca.unrank(17, 4)
 
+    def test_unrank_takes_integers(self):
+        # unrank(1.0, 2) returned [0, 0], and unrank(2, 1.0) raised a
+        # TypeError from inside.
+        for r, n, message in ((1.0, 2, "rank out of range"), (True, 2, "rank out of range"),
+                              (0, 2, "rank out of range"), (5, 2, "rank out of range"),
+                              (2, 1.0, "n must be >= 0"), (1, True, "n must be >= 0"),
+                              (1, -1, "n must be >= 0")):
+            with pytest.raises(ValueError, match=message):
+                ca.unrank(r, n)
+        assert ca.unrank(np.int64(3), np.int64(2)) == ca.unrank(3, 2) == [1, 0]
+        assert ca.unrank(1, 0) == []
+
     def test_rejects_non_bits(self):
         with pytest.raises(ValueError, match="0 or 1"):
             ca.rank([0.9, 1, 0, 0])
@@ -143,6 +155,16 @@ class TestAveragingFunction:
                      lambda: ca.level_probabilities(m), lambda: ca.weight_boundaries(m)):
             with pytest.raises(ValueError, match="m must be >= 1"):
                 call()
+
+    @pytest.mark.parametrize("m", [True, 0, -1, -3, 2.0, 2.5])
+    def test_rank_shift_and_c1_take_m_by_the_rule(self, m):
+        # c1_constant(True) returned 1.0 and c1_constant(0) 0.0;
+        # max_flip_rank_shift(-1) returned 2 and (2.5) raised a TypeError.
+        for call in (ca.max_flip_rank_shift, ca.c1_constant):
+            with pytest.raises(ValueError, match="m must be >= 1"):
+                call(m)
+        assert ca.c1_constant(np.int64(3)) == ca.c1_constant(3)
+        assert ca.max_flip_rank_shift(np.int64(3)) == ca.max_flip_rank_shift(3) == 2 * comb(9, 4)
 
     def test_numpy_integer_m(self):
         bits = [1, 0, 1, 1, 0, 0, 1, 1, 1]
@@ -267,6 +289,14 @@ class TestRandomVertex:
             ca.random_vertex(np.zeros((3, 4), dtype=int), 2)
         with pytest.raises(ValueError):
             ca.random_vertex(np.zeros((2, 5), dtype=int), 2)
+
+    def test_d_is_a_count(self):
+        # random_vertex(a, True) and (a, 1.0) returned (0,), and d = 0
+        # returned () for an empty matrix.
+        for a, d in ((np.zeros((1, 4)), True), (np.zeros((1, 4)), 1.0), (np.zeros((0, 4)), 0)):
+            with pytest.raises(ValueError, match="d must be >= 1"):
+                ca.random_vertex(a, d)
+        assert ca.random_vertex(np.ones((1, 4)), np.int64(1)) == (2,)
 
     def test_entry_validation(self):
         with pytest.raises(ValueError, match="0 or 1"):

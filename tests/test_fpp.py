@@ -153,13 +153,14 @@ def counting_solves(monkeypatch) -> list:
     return calls
 
 
-def assert_bounded_query(calls, grid, **options):
-    """The calls are one bounded query on ``grid``: an unlimited solve of a
-    smaller grid (the sub-box), then one solve of ``grid`` with a finite
-    limit and ``options``."""
+def assert_bounded_query(calls, grid, whole=False, **options):
+    """The calls are one bounded query on ``grid``: an unlimited solve of the
+    sub-box, a smaller grid (``grid`` itself when ``whole``), then one solve
+    of ``grid`` with a finite limit and ``options``."""
     assert len(calls) == 2, calls
     (sub, sub_options), (box, box_options) = calls
-    assert sub is not grid and sub.vertex_count < grid.vertex_count and sub_options == {}
+    assert (sub is grid) if whole else (sub.vertex_count < grid.vertex_count)
+    assert sub_options == {}
     assert box is grid and np.isfinite(box_options.pop("limit")) and box_options == options
 
 
@@ -229,6 +230,22 @@ class TestGridSpec:
         g = fpp.GridSpec(lo=(0, 0), hi=(2, 2))
         with pytest.raises(ValueError):
             g.vertex_index((3, 0))
+
+    def test_edge_endpoints_index_rule(self):
+        # -1 returned the last edge's endpoints, and True edge 1's.
+        g = fpp.GridSpec(lo=(0, 0), hi=(2, 2))
+        for e in (-1, g.edge_count, True, 1.0):
+            with pytest.raises(ValueError, match="edge index out of range"):
+                g.edge_endpoints(e)
+        assert g.edge_endpoints(np.int64(3)) == g.edge_endpoints(3)
+
+    def test_edge_index_axis_rule(self):
+        # True ran as axis 1, and 1.0 raised a TypeError from inside.
+        g = fpp.GridSpec(lo=(0, 0), hi=(2, 2))
+        for axis in (-1, 2, True, 1.0):
+            with pytest.raises(ValueError, match="axis out of range"):
+                g.edge_index((0, 0), axis)
+        assert g.edge_index((0, 0), np.int64(1)) == g.edge_index((0, 0), 1)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -332,12 +349,21 @@ class TestPassageTime:
         assert res.distance == pytest.approx(3.0)
         assert len(res.geodesic_edges) == 3
 
-    def test_same_vertex(self):
-        g = fpp.GridSpec(lo=(0, 0), hi=(2, 2))
-        f = fpp.WeightField(grid=g, weights=np.ones(g.edge_count))
-        res = fpp.passage_time(f, (1, 1), (1, 1))
-        assert res.distance == 0.0
-        assert res.geodesic_edges == ()
+    def test_same_vertex(self, monkeypatch):
+        # One bounded query like any other: the sub-box, padded on every
+        # axis (the whole 3x3 box, or 9x9 inside the larger one), then the
+        # box capped at the label 0 plus the tie margin.
+        calls = counting_solves(monkeypatch)
+        for lo, hi, whole in (((0, 0), (2, 2), True), ((-6, -6), (12, 12), False)):
+            g = fpp.GridSpec(lo=lo, hi=hi)
+            f = fpp.WeightField(grid=g, weights=np.ones(g.edge_count))
+            calls.clear()
+            res = fpp.passage_time(f, (1, 1), (1, 1))
+            assert res.distance == 0.0
+            assert res.geodesic_edges == ()
+            assert calls[0][0].extents == ((3, 3) if whole else (2 * fpp.SUB_PAD + 1,) * 2)
+            assert calls[1][1]["limit"] == 2.0 * fpp.TIE_TOL
+            assert_bounded_query(calls, g, whole, return_predecessors=True)
 
     def test_brute_force_oracle_3x3(self):
         grid = fpp.GridSpec(lo=(0, 0), hi=(2, 2))
@@ -662,6 +688,16 @@ class TestEdgeDerivative:
         with pytest.raises(ValueError):
             fpp.edge_derivative(field, (2, 2), g.edge_count + 5)
 
+    def test_edge_index_rule(self):
+        # True and 3.0 ran as edges 1 and 3.
+        g = fpp.GridSpec(lo=(0, 0), hi=(3, 3))
+        field = fpp.field_from_distribution(g, "exp:rate=1", 1)
+        for e in (True, 3.0, -1):
+            with pytest.raises(ValueError, match="edge index out of range"):
+                fpp.edge_derivative(field, (2, 2), e)
+        assert fpp.edge_derivative(field, (2, 2), np.int64(3)) == fpp.edge_derivative(
+            field, (2, 2), 3)
+
 
 class TestSingleEdgeResponse:
     def test_piecewise_fit_on_seeded_fields(self):
@@ -711,6 +747,17 @@ class TestSingleEdgeResponse:
         for bad in ([0.0, np.nan, 2.0], [0.0, 1.0, np.inf]):
             with pytest.raises(ValueError, match="finite"):
                 fpp.single_edge_response(field, (2, 2), 0, np.array(bad))
+
+    def test_edge_index_rule(self):
+        # True ran as edge 1, and 2.5 raised an IndexError from inside.
+        g = fpp.GridSpec(lo=(0, 0), hi=(3, 3))
+        field = fpp.field_from_distribution(g, "exp:rate=1", 1)
+        ys = np.array([0.0, 1.0, 2.0])
+        for e in (True, 2.5, -1, g.edge_count):
+            with pytest.raises(ValueError, match="edge index out of range"):
+                fpp.single_edge_response(field, (2, 2), e, ys)
+        assert np.array_equal(fpp.single_edge_response(field, (2, 2), np.int64(3), ys).distances,
+                              fpp.single_edge_response(field, (2, 2), 3, ys).distances)
 
 
 class TestBoundedSolve:
@@ -862,6 +909,17 @@ class TestAveragedPassageTime:
         with pytest.raises(ValueError):
             fpp.averaged_passage_time(np.zeros((2, 5), dtype=int), field, (2, 0), 2)
 
+    def test_m_rule(self):
+        # 3.0 ran as m=3.
+        g = fpp.GridSpec(lo=(-8, -8), hi=(16, 8))
+        field = fpp.field_from_distribution(g, "exp:rate=1", 3)
+        a = np.zeros((2, 9), dtype=int)
+        for m in (3.0, True, 0, -3):
+            with pytest.raises(ValueError, match="m must be >= 1"):
+                fpp.averaged_passage_time(a, field, (8, 0), m)
+        assert fpp.averaged_passage_time(a, field, (8, 0), np.int64(3)) == (
+            fpp.averaged_passage_time(a, field, (8, 0), 3))
+
     def test_rejects_non_bits(self):
         # 0.7 once truncated to 0, giving the unshifted passage time
         g = fpp.GridSpec(lo=(-8, -8), hi=(16, 8))
@@ -895,9 +953,9 @@ def tree_edges(grid: fpp.GridSpec, pred: np.ndarray, src: int, dst: int) -> tupl
 def sub_box_bounds(grid: fpp.GridSpec, s, t) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Bounds of the sub-box of the query from s to t, by its rule: the span
     of s and t, widened by SUB_PAD on every axis but the first one of largest
-    gap, and clipped to the box."""
+    gap (on every axis when s == t), and clipped to the box."""
     gaps = [abs(a - b) for a, b in zip(s, t)]
-    wide = [0 if k == gaps.index(max(gaps)) else fpp.SUB_PAD for k in range(grid.d)]
+    wide = [0 if s != t and k == gaps.index(max(gaps)) else fpp.SUB_PAD for k in range(grid.d)]
     lo = tuple(max(min(a, b) - p, l) for a, b, p, l in zip(s, t, wide, grid.lo))
     hi = tuple(min(max(a, b) + p, h) for a, b, p, h in zip(s, t, wide, grid.hi))
     return lo, hi
@@ -966,10 +1024,12 @@ class TestBoundedQuery:
     @pytest.mark.parametrize("grid", [fpp.GridSpec(lo=(0, 0), hi=(9, 6)),
                                       fpp.GridSpec(lo=(0, 0, 0), hi=(5, 3, 4))],
                              ids=["d2", "d3"])
-    def test_whole_box_query_is_one_full_solve(self, monkeypatch, grid):
-        # From the origin to the far corner the sub-box is the whole box:
-        # one unlimited solve, whose labels, predecessors, geodesic and tie
-        # verdicts are the full solve's.
+    def test_whole_box_query_is_two_solves(self, monkeypatch, grid):
+        # From the origin to the far corner the sub-box is the whole box.
+        # The query still takes two solves, the sub-box (the grid itself)
+        # and then the box capped at its label; labels and predecessors are
+        # the full solve's at every labelled vertex, and distance, geodesic
+        # and tie verdicts are the full solve's.
         rng = np.random.default_rng(grid.d)
         si, ti = grid.vertex_index(grid.lo), grid.vertex_index(grid.hi)
         calls = counting_solves(monkeypatch)
@@ -981,16 +1041,19 @@ class TestBoundedQuery:
             full, pred = oracle_tree(grid, w, si)
             path = tree_edges(grid, pred, si, ti)
             labels, got_pred = fpp._bounded_solve(grid, w, si, ti, return_predecessors=True)
-            assert labels.tobytes() == full.tobytes() and np.array_equal(got_pred, pred)
+            kept = np.isfinite(labels)
+            assert labels[kept].tobytes() == full[kept].tobytes()
+            assert np.all(kept[full <= full[ti]]) and np.all(got_pred[~kept] < 0)
+            assert np.array_equal(got_pred[kept], pred[kept])
             calls.clear()
             res = fpp.passage_time(field, grid.lo, grid.hi)
-            assert calls == [(grid, {"return_predecessors": True})]
+            assert_bounded_query(calls, grid, whole=True, return_predecessors=True)
             assert res.distance.hex() == full[ti].hex() and res.geodesic_edges == path
             e = path[case % len(path)] if case % 2 else int(rng.integers(grid.edge_count))
             want = tie_rule(grid, w, full, path, full[ti], e)
             calls.clear()
             assert derivative_verdict(field, grid.hi, e) == want, case
-            assert calls == [(grid, {"return_predecessors": True})]
+            assert_bounded_query(calls, grid, whole=True, return_predecessors=True)
             seen[want] += 1
         assert min(seen[k] for k in (0, 1, "tie")) >= 5, seen
 
@@ -1084,8 +1147,6 @@ class TestBoundedQuery:
             rng = np.random.default_rng(grid.edge_count)
             ids = np.arange(grid.edge_count, dtype=float)
             for s, t in query_pairs(rng, grid, 12):
-                if s == t:
-                    continue
                 sub, picks, a, b = fpp._sub_box(grid, grid.vertex_index(s), grid.vertex_index(t))
                 lo, hi = sub_box_bounds(grid, s, t)
                 want_sub, want = sub_box_edges(grid, lo, hi)

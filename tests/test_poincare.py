@@ -62,6 +62,15 @@ class TestDiscreteGradient:
         with pytest.raises(ValueError):
             P.discrete_gradient_norm(tf, 0)
 
+    def test_bit_index_rule(self):
+        # True ran as bit 1, and 1.0 raised a TypeError from inside.
+        tf = P.TestFunction("two-bits", 2, 1, lambda x, y: x[..., 0] + 2.0 * x[..., 1] * y[..., 0],
+                            (lambda x, y: 2.0 * x[..., 1],))
+        for q in (True, 1.0, -1, 2):
+            with pytest.raises(ValueError, match="bit index out of range"):
+                P.discrete_gradient_norm(tf, q)
+        assert P.discrete_gradient_norm(tf, np.int64(1)) == P.discrete_gradient_norm(tf, 1)
+
     def test_bit_times_gauss(self):
         # oracle: exhaustive cube x quadrature gives E[y^2]/4 = 1/4
         assert P.discrete_gradient_norm(P.REGISTRY["bit-times-gauss"], 0) == pytest.approx(
