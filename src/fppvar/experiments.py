@@ -88,6 +88,7 @@ def box_for_target(d: int, n: int) -> fpp.GridSpec:
     Padding max(ceil(n/2), 16) on every side; geodesic wandering at these
     scales stays well inside (checked by the padding-doubling test).
     """
+    d, n = _at_least(d, 2, fpp._DIM_RULE), _at_least(n, 1, "n must be an integer >= 1")
     pad = max(math.ceil(n / 2), 16)
     lo = (-pad,) * d
     hi = (n + pad,) + (pad,) * (d - 1)

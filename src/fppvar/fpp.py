@@ -111,6 +111,7 @@ from .edge_distributions import _SEED_RULE, EdgeDistribution, parse_distribution
 
 TIE_TOL = 1e-12
 _EDGE_RULE = "edge index out of range"
+_DIM_RULE = "need matching lo/hi bounds in dimension >= 2"
 # Half-width of a point-to-point query's sub-box around its endpoints; see _sub_box.
 SUB_PAD = 4
 # A grid's memo of query sub-boxes starts over once it holds this many
@@ -140,7 +141,11 @@ class GridSpec:
 
     def __post_init__(self):
         if len(self.lo) != len(self.hi) or len(self.lo) < 2:
-            raise ValueError("need matching lo/hi bounds in dimension >= 2")
+            raise ValueError(_DIM_RULE)
+        # Any integer by the count rule, with no floor; frozen, so set through object.
+        for name, bounds in (("lo", self.lo), ("hi", self.hi)):
+            object.__setattr__(self, name, tuple(_at_least(c, -np.inf, "bounds must be integers")
+                                                 for c in bounds))
         if any(h <= l for l, h in zip(self.lo, self.hi)):
             raise ValueError("each axis needs at least two vertices")
 
@@ -174,6 +179,8 @@ class GridSpec:
         return self._index.item(tuple(c - l for c, l in zip(v, self.lo)))
 
     def vertex_coords(self, idx: int) -> tuple[int, ...]:
+        if _at_least(idx, 0, "vertex index out of range") >= self.vertex_count:
+            raise ValueError("vertex index out of range")
         return tuple(l + int(c) for l, c in zip(self.lo, np.unravel_index(idx, self.extents)))
 
     @cached_property
@@ -224,10 +231,8 @@ class GridSpec:
             raise ValueError("axis out of range")
         if not self.contains(v) or v[axis] + 1 > self.hi[axis]:
             raise ValueError("edge endpoint outside the box")
-        head = list(v)
-        head[axis] += 1
-        a, b = self.vertex_index(v), self.vertex_index(head)
-        return int(self._edges_between(np.array([a]), np.array([b]))[0])
+        start, _, shape = self._edge_blocks[axis]
+        return start + int(np.ravel_multi_index(tuple(c - l for c, l in zip(v, self.lo)), shape))
 
     def edge_endpoints(self, e: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         if _at_least(e, 0, _EDGE_RULE) >= self.edge_count:
@@ -235,16 +240,10 @@ class GridSpec:
         tails, heads = self._edge_arrays
         return self.vertex_coords(int(tails[e])), self.vertex_coords(int(heads[e]))
 
-    # Unused by the package: kept only for the benchmark's set-up (see ROADMAP).
-    @cached_property
-    def _adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        tails, heads = self._edge_arrays
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.vertex_count)]
-        for e in range(self.edge_count):
-            t, h = int(tails[e]), int(heads[e])
-            adj[t].append((h, e))
-            adj[h].append((t, e))
-        return tuple(tuple(x) for x in adj)
+    # Only the benchmark's geodesic set-up reads this; ROADMAP item 5 drops that read, then this.
+    @property
+    def _adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self._csr_template
 
     @cached_property
     def _csr_template(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -227,6 +227,20 @@ class TestFpp:
         assert rep["target"] == [4, 0]
         assert rep["distance"] > 0
 
+    @pytest.mark.parametrize("args, msg", [
+        (("--n", "0"), "--n must be positive"),
+        (("--n", "-1"), "--n must be positive"),
+        (("--d", "1", "--n", "-1"), "--n must be positive"),
+        (("--d", "1", "--n", "4"), "need matching lo/hi bounds in dimension >= 2"),
+        (("--d", "-1", "--n", "2"), "need matching lo/hi bounds in dimension >= 2"),
+    ])
+    @pytest.mark.parametrize("command", [("run",), ("response", "--edge", "0")])
+    def test_box_refused(self, capsys, command, args, msg):
+        # The --n check runs before box_for_target, whose d check keeps the
+        # box's own message.
+        code, out, err = run(capsys, "fpp", *command, *args)
+        assert (code, out, err) == (2, "", f"error: {msg}\n")
+
     def test_run_large_scale_law(self, capsys):
         # Weights near 1e6: the distance is about 3e7, and the geodesic's
         # weights fold to it exactly, so no absolute tolerance may refuse it.

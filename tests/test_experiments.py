@@ -42,6 +42,22 @@ class TestBox:
         assert g.d == 3
         assert g.hi == (24, 16, 16)
 
+    @pytest.mark.parametrize("d, n, message", [
+        (2, True, "n must be an integer >= 1"),
+        (2, 2.5, "n must be an integer >= 1"),
+        (2, -1, "n must be an integer >= 1"),
+        (2, 0, "n must be an integer >= 1"),
+        (True, 4, "dimension >= 2"),
+        (2.5, 4, "dimension >= 2"),
+        (-1, 4, "dimension >= 2"),
+    ], ids=["n-True", "n-2.5", "n--1", "n-0", "d-True", "d-2.5", "d--1"])
+    def test_counts_follow_the_rule(self, d, n, message):
+        # n=True built the n=1 box, n=-1 and 0 built boxes too, and d=2.5
+        # raised a TypeError from inside.
+        with pytest.raises(ValueError, match=message):
+            ex.box_for_target(d, n)
+        assert ex.box_for_target(np.int64(2), np.int64(8)) == ex.box_for_target(2, 8)
+
     @pytest.mark.parametrize("n", [8, 16, 32])
     def test_padding_doubling(self, n):
         # 200 acceptance-sweep fields per n, each embedded in a box with twice

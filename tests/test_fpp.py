@@ -247,6 +247,50 @@ class TestGridSpec:
                 g.edge_index((0, 0), axis)
         assert g.edge_index((0, 0), np.int64(1)) == g.edge_index((0, 0), 1)
 
+    @pytest.mark.parametrize("lo, hi", [((-3, -2), (4, 5)), ((-2, -1, -3), (1, 2, 0))],
+                             ids=["d2", "d3"])
+    @pytest.mark.parametrize("kind", [int, np.int64])
+    def test_edge_index_matches_edge_arrays(self, lo, hi, kind):
+        # The oracle is _edge_arrays, built by np.delete over the index
+        # array: every edge's tail and head, in edge-index order.
+        g = fpp.GridSpec(lo=lo, hi=hi)
+        for e, (t, h) in enumerate(zip(g.edge_tails.tolist(), g.edge_heads.tolist())):
+            tail, head = g.vertex_coords(t), g.vertex_coords(h)
+            axis = [b - a for a, b in zip(tail, head)].index(1)
+            got = g.edge_index(tuple(kind(c) for c in tail), kind(axis))
+            assert type(got) is int and got == e
+        for v, axis in (((hi[0], lo[1]) + lo[2:], 0), ((lo[0], hi[1]) + lo[2:], 1),
+                        ((lo[0] - 1,) + lo[1:], 1), ((lo[0], hi[1] + 1) + lo[2:], 0)):
+            with pytest.raises(ValueError, match="edge endpoint outside the box"):
+                g.edge_index(tuple(kind(c) for c in v), kind(axis))
+
+    def test_adjacency_is_the_template(self):
+        # The benchmark's set-up reads _adjacency; it builds nothing of its own.
+        g = fpp.GridSpec(lo=(-1, 0), hi=(3, 2))
+        assert g._adjacency is g._csr_template
+
+    def test_vertex_coords_index_rule(self):
+        # True returned (0, 1), 2.5 and -1 what unravel_index made of them.
+        g = fpp.GridSpec(lo=(0, 0), hi=(2, 2))
+        for idx in (-1, g.vertex_count, True, 2.5, 1.0):
+            with pytest.raises(ValueError, match="vertex index out of range"):
+                g.vertex_coords(idx)
+        assert g.vertex_coords(np.int64(5)) == g.vertex_coords(5) == (1, 2)
+
+    @pytest.mark.parametrize("lo, hi", [((0.5, 0), (2, 2)), ((True, 0), (2, 2)),
+                                        ((0, 0), (2.0, 2)), ((0, 0), (2, None))],
+                             ids=["lo-0.5", "lo-True", "hi-2.0", "hi-None"])
+    def test_bounds_are_integers(self, lo, hi):
+        # (0.5, 0) gave vertex_count 7, and (True, 0) ran as (1, 0).
+        with pytest.raises(ValueError, match="bounds must be integers"):
+            fpp.GridSpec(lo=lo, hi=hi)
+
+    def test_numpy_bounds_are_stored_as_ints(self):
+        g = fpp.GridSpec(lo=(np.int64(-1), 0), hi=(2, np.int32(2)))
+        assert all(type(c) is int for c in g.lo + g.hi)
+        assert g == fpp.GridSpec(lo=(-1, 0), hi=(2, 2))
+        assert hash(g) == hash(fpp.GridSpec(lo=(-1, 0), hi=(2, 2)))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             fpp.GridSpec(lo=(0,), hi=(2,))

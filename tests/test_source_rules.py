@@ -2,8 +2,9 @@
 
 Each rule says where one thing may happen in ``src/fppvar``: a seed becomes
 a generator only in ``edge_distributions._rng``, csgraph's Dijkstra
-(``_solver()[1]``) runs only in ``fpp._solve``, and ``scipy.sparse`` is
-imported only inside ``fpp._solver``, on the first solve.
+(``_solver()[1]``) runs only in ``fpp._solve``, ``scipy.sparse`` is
+imported only inside ``fpp._solver``, on the first solve, and nothing reads
+``GridSpec._adjacency``, which only the benchmark's set-up touches.
 """
 
 import ast
@@ -61,3 +62,5 @@ def test_one_place_rules():
     assert sites(dijkstra_pick) == {"fpp._solve"}
     assert sites(lambda node: named(node, "dijkstra")) == {"fpp._solver"}
     assert sites(sparse_import) == {"fpp._solver"}
+    # Only the benchmark reads GridSpec._adjacency; the package never does.
+    assert sites(lambda node: named(node, "_adjacency")) == set()
